@@ -217,6 +217,7 @@ type tree_result = {
   t_solver_ms : float;
   t_overhead_pct : float;
   t_objective : float;
+  t_presolve : Lp.Presolve.stats;  (* what presolve did to the encoding *)
 }
 
 (* every leaf a copy of the spec's node tier, the unbudgeted server at
@@ -354,6 +355,7 @@ let bench_tree ~name ~reps ?rate pl =
     t_solver_ms = solver_ms;
     t_overhead_pct = overhead_pct;
     t_objective = objective;
+    t_presolve = Lp.Presolve.stats (Lp.Presolve.run enc.problem);
   }
 
 let write_json insts (chain : chain_result) trees =
@@ -389,9 +391,15 @@ let write_json insts (chain : chain_result) trees =
     Printf.sprintf
       "    {\"name\": \"%s\", \"n_tiers\": %d, \"n_super\": %d, \"rate\": \
        %.6f, \"reps\": %d, \"total_ms\": %.4f, \"solver_ms\": %.4f, \
-       \"overhead_pct\": %.2f, \"objective\": %.6f, \"guard_ok\": %b}"
+       \"overhead_pct\": %.2f, \"objective\": %.6f, \"guard_ok\": %b, \
+       \"presolve\": {\"rows_before\": %d, \"cols_before\": %d, \
+       \"rows_after\": %d, \"cols_after\": %d, \"cols_fixed\": %d, \
+       \"rounds\": %d}}"
       r.t_name r.t_n_tiers r.t_n_super r.t_rate r.t_reps r.t_total_ms
       r.t_solver_ms r.t_overhead_pct r.t_objective (tree_guard r)
+      r.t_presolve.rows_before r.t_presolve.cols_before
+      r.t_presolve.rows_after r.t_presolve.cols_after
+      r.t_presolve.cols_fixed r.t_presolve.rounds
   in
   Printf.fprintf oc
     "{\n\
@@ -571,6 +579,35 @@ let smoke_tree () =
         (Array.for_all (fun x -> feq x 0.)
            (Array.sub s.Wishbone.Placement.link_net 1 19))
   | _ -> check "testbed star solve" false);
+  (* deterministic work: eeg14 at the solve benchmark's boundary rate
+     on an 8-mote star presolves to exactly the presolved chain and
+     returns the chain's split *)
+  let eeg14 =
+    Wishbone.Spec.scale_rate
+      (Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
+         ~platform:Profiler.Platform.tmote_sky
+         (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ())))
+      0x1.6dfb23c651a2fp+0
+  in
+  let presolved pl =
+    let c = Wishbone.Preprocess.contract pl.Wishbone.Placement.spec in
+    let enc = Wishbone.Placement.encode Wishbone.Placement.Restricted pl c in
+    Lp.Presolve.stats (Lp.Presolve.run enc.Wishbone.Placement.problem)
+  in
+  let star = star_placement ~n_leaves:8 eeg14 in
+  let chain = Wishbone.Placement.of_spec eeg14 in
+  let ps = presolved star and pc = presolved chain in
+  check "eeg14 star presolves to the chain's 548 x 434"
+    (ps.Lp.Presolve.rows_after = 548 && ps.Lp.Presolve.cols_after = 434
+    && pc.Lp.Presolve.rows_after = 548 && pc.Lp.Presolve.cols_after = 434);
+  (match (Wishbone.Placement.solve star, Wishbone.Placement.solve chain) with
+  | Wishbone.Placement.Partitioned s, Wishbone.Placement.Partitioned two ->
+      check "eeg14 star split = chain split"
+        (Array.map (fun t -> if t = 8 then 1 else if t = 0 then 0 else -1)
+           s.Wishbone.Placement.tier_of
+        = two.Wishbone.Placement.tier_of)
+  | _ -> check "eeg14 star solve" false);
   Bench_util.row
     "tree smoke ok: Y optimum 9.5 with binding shared uplink, infeasible \
-     at 4.9; 21-tier testbed star matches the two-tier optimum\n"
+     at 4.9; 21-tier testbed star matches the two-tier optimum; eeg14 \
+     8-mote star presolves to the 548 x 434 chain with its split\n"

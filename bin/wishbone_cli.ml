@@ -543,7 +543,8 @@ let partition_cmd =
   (* process-wide solver work counters, reset at solve entry: the
      verbose tail of the report, for eyeballing the effect of
      --pricing / --schedule / --workers on actual work done *)
-  let report_counters (options : Lp.Branch_bound.options) ~fb0 =
+  let report_counters (options : Lp.Branch_bound.options) ~fb0
+      (stats : Lp.Branch_bound.stats) =
     let c = Lp.Sparse.counters () in
     Printf.printf
       "solver counters: pricing %s, schedule %s, %d pivots, %d \
@@ -557,7 +558,10 @@ let partition_cmd =
       (Lp.Simplex.cumulative_pivots ())
       c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
       c.Lp.Sparse.ft_entries
-      (Lp.Sparse.dense_fallbacks () - fb0)
+      (Lp.Sparse.dense_fallbacks () - fb0);
+    (* per-solve, from the returned report's own stats *)
+    Format.printf "presolve: %a@." Lp.Presolve.pp_stats
+      stats.Lp.Branch_bound.presolve
   in
   (* on budget exhaustion the solver keeps its best incumbent; surface
      it with the gap to the strongest remaining bound instead of
@@ -640,7 +644,7 @@ let partition_cmd =
               Format.printf "%a@."
                 (Wishbone.Partitioner.pp_report b.graph)
                 report;
-              report_counters options ~fb0;
+              report_counters options ~fb0 report.solver;
               report_budget ~objective:report.objective report.solver;
               write_dot report.assignment
             in
@@ -671,7 +675,7 @@ let partition_cmd =
             let pl = placement_of_topo_spec spec raw ts in
             let finish pl (r : Wishbone.Placement.report) =
               Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-              report_counters options ~fb0;
+              report_counters options ~fb0 r.solver;
               report_budget ~objective:r.objective r.solver;
               write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
             in

@@ -23,6 +23,36 @@ let certified label ?lo ?hi problem (r : Lp.Simplex.result) =
         (Printf.sprintf "%s solve fails certificate: %s" label
            (String.concat "; " msgs))
 
+(* Branch & bound presolves every problem and runs its root LP on the
+   reduced one.  For a pure LP the search ends at that root, so the
+   returned point and [stats.root_basis] are the root's answer lifted
+   back by postsolve: they must certify against the original rows
+   under the presolved box, and agree with the unpresolved simplex. *)
+let presolved_root problem (reference : Lp.Simplex.result) =
+  let status, stats = Lp.Branch_bound.solve problem in
+  let lo, hi = Lp.Presolve.bounds (Lp.Presolve.run problem) in
+  match (status, reference.status) with
+  | Lp.Solution.Iteration_limit, _ | _, Lp.Solution.Iteration_limit -> Pass
+  | s, r when status_tag s <> status_tag r ->
+      failf "presolved branch & bound says %s but the simplex says %s"
+        (status_tag s) (status_tag r)
+  | Lp.Solution.Optimal sol, Lp.Solution.Optimal ref_sol -> (
+      let tol = 1e-5 *. (1. +. Float.abs ref_sol.objective) in
+      if Float.abs (sol.objective -. ref_sol.objective) > tol then
+        failf "presolved objective %g disagrees with the simplex's %g"
+          sol.objective ref_sol.objective
+      else
+        match stats.Lp.Branch_bound.root_basis with
+        | None -> Fail "presolved optimal root carries no basis"
+        | Some b -> (
+            match Certificate.check ~lo ~hi problem sol b with
+            | Certificate.Valid -> Pass
+            | Certificate.Invalid msgs ->
+                failf "postsolved root fails certificate (%a): %s"
+                  Lp.Presolve.pp_stats stats.Lp.Branch_bound.presolve
+                  (String.concat "; " msgs)))
+  | _ -> Pass
+
 let lp_certificate rng problem =
   let r0 = Lp.Simplex.solve_warm ~keep_hot:true problem in
   match certified "cold" problem r0 with
@@ -117,7 +147,7 @@ let lp_certificate rng problem =
                   (Option.get (objective cold))
             | None -> (
                 let rec certify_all = function
-                  | [] -> Pass
+                  | [] -> presolved_root problem r0
                   | (label, r) :: rest -> (
                       match certified label ~lo ~hi problem r with
                       | Ok () -> certify_all rest

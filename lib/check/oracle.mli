@@ -17,7 +17,12 @@ val lp_certificate : Prng.t -> Lp.Problem.t -> outcome
     warm (basis), dense hot (tableau replay), sparse revised simplex
     cold, and sparse warm-started from the dense basis.  All five must
     agree on status and, when optimal, on the objective — and every
-    optimal answer must carry a valid certificate. *)
+    optimal answer must carry a valid certificate.  Finally the
+    unperturbed problem goes through {!Lp.Branch_bound.solve}, which
+    presolves it: its status and objective must match the cold
+    simplex, and its postsolved point and root basis must certify
+    against the {e original} rows under the presolved box
+    ({!Lp.Presolve.bounds}). *)
 
 val ilp_brute : Lp.Problem.t -> outcome
 (** Branch & bound versus exhaustive enumeration on a small all-integer

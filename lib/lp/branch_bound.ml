@@ -46,6 +46,7 @@ type stats = {
   best_bound : float;
   incumbent_trace : (float * float) list;
   root_basis : Basis.t option;
+  presolve : Presolve.stats;
 }
 
 (* Node bounds are delta-encoded: each node records only the single
@@ -158,26 +159,37 @@ let branch_vals (node : node) v =
   ( Float.of_int (int_of_float (Float.floor xv)),
     Float.of_int (int_of_float (Float.ceil xv)) )
 
-let solve ?(options = default_options) ?initial ?root_basis problem =
-  let t0 = Unix.gettimeofday () in
+(* the search proper, over a presolved problem: LPs run on the
+   reduced problem [pre], incumbents are lifted to and judged on the
+   original [problem] *)
+let search ~options ~t0 ?initial ?root_basis problem pre =
   let elapsed () = Unix.gettimeofday () -. t0 in
   let minimize = Problem.direction problem = Problem.Minimize in
   (* internal keys are always "minimize": smaller is better *)
   let key_of_obj obj = if minimize then obj else -.obj in
   let obj_of_key key = if minimize then key else -.key in
+  (* relaxation objectives lack the fixed columns' constant *)
+  let offset = Presolve.offset pre in
+  let key_of_relax (s : Solution.t) =
+    key_of_obj (s.Solution.objective +. offset)
+  in
+  let work = Presolve.problem pre in
   (* force every lazy accessor cache before any domain is spawned:
-     workers treat the problem as strictly read-only *)
-  let vars = Problem.vars problem in
-  ignore (Problem.constrs problem);
-  ignore (Problem.objective problem);
-  let int_vars = Problem.integer_vars problem in
+     workers treat both problems as strictly read-only *)
+  List.iter
+    (fun p ->
+      ignore (Problem.vars p);
+      ignore (Problem.constrs p);
+      ignore (Problem.objective p))
+    [ problem; work ];
+  let int_vars = Problem.integer_vars work in
   let use_sparse =
     match options.solver with
     | Dense -> false
     | Sparse_revised -> true
-    | Auto -> Problem.n_constrs problem >= sparse_threshold
+    | Auto -> Problem.n_constrs work >= sparse_threshold
   in
-  let sdata = if use_sparse then Some (Sparse.of_problem problem) else None in
+  let sdata = if use_sparse then Some (Sparse.of_problem work) else None in
   let workers = Int.max 1 options.workers in
   let lp_solves = ref 0 in
   let hot_solves = ref 0 in
@@ -194,7 +206,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
         Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ?session data
     | None ->
         Simplex.solve_warm ~options:simplex ?warm ?hot
-          ~keep_hot:options.warm_start ~lo ~hi problem
+          ~keep_hot:options.warm_start ~lo ~hi work
   in
   (* the tree-wide pivot budget, capped into each LP solve so a single
      relaxation cannot blow through it unboundedly.  With the default
@@ -252,8 +264,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
       hot_nodes := List.filter (fun o -> o != node) !hot_nodes
     end
   in
-  let lo0 = Array.map (fun (v : Problem.var_info) -> v.lo) vars in
-  let hi0 = Array.map (fun (v : Problem.var_info) -> v.hi) vars in
+  let lo0 = Presolve.lo pre and hi0 = Presolve.hi pre in
   let finish status ~proved ~best_bound ~t_inc ~nodes ~trace =
     ( status,
       {
@@ -267,16 +278,17 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
         best_bound;
         incumbent_trace = List.rev trace;
         root_basis = !root_b;
+        presolve = Presolve.stats pre;
       } )
   in
-  on_node ~nodes:0 ~pivots:0;
   let root =
     relaxation ?session:sessions.(0)
       ~simplex:(budgeted_simplex ~remaining:options.pivot_budget)
-      ~warm:root_basis ~lo:lo0 ~hi:hi0 ()
+      ~warm:(Option.bind root_basis (Presolve.restrict_basis pre))
+      ~lo:lo0 ~hi:hi0 ()
   in
   account root;
-  root_b := root.Simplex.basis;
+  root_b := Option.map (Presolve.lift_basis pre) root.Simplex.basis;
   match root.Simplex.status with
   | Solution.Infeasible ->
       finish Solution.Infeasible ~proved:true ~best_bound:nan ~t_inc:0.
@@ -294,7 +306,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
           basis = root.Simplex.basis; hot = root.Simplex.hot }
       in
       retain_hot root_node;
-      Heap.Pqueue.push open_nodes (key_of_obj root_relax.objective) root_node;
+      Heap.Pqueue.push open_nodes (key_of_relax root_relax) root_node;
       let node_bounds node = materialise ~lo0 ~hi0 (deltas_of_node node) in
       let incumbent = ref None in
       let incumbent_key = ref infinity in
@@ -302,8 +314,8 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
       let trace = ref [] in
       let nodes = ref 0 in
       let hit_budget = ref false in
-      let try_incumbent (sol : Solution.t) =
-        let x = snap ~int_tol:options.int_tol int_vars sol.x in
+      (* [x] in original space, integer columns snapped *)
+      let consider x =
         let obj = Problem.objective_value problem x in
         let key = key_of_obj obj in
         if Problem.constraint_violation problem x <= 1e-5 then begin
@@ -323,13 +335,17 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
             | _ -> ()
         end
       in
+      let try_incumbent (sol : Solution.t) =
+        consider
+          (Presolve.lift pre (snap ~int_tol:options.int_tol int_vars sol.x))
+      in
       (* incremental callers (rate search) seed the incumbent with the
          previous step's feasible point: a valid primal bound that lets
          best-first search prune most of the tree immediately *)
       (match initial with
-      | Some x0 when Array.length x0 = Array.length lo0 ->
-          try_incumbent
-            { Solution.x = x0; objective = Problem.objective_value problem x0 }
+      | Some x0 when Array.length x0 = Problem.n_vars problem ->
+          consider
+            (snap ~int_tol:options.int_tol (Problem.integer_vars problem) x0)
       | _ -> ());
       let gap_closed bound_key =
         match !incumbent with
@@ -388,7 +404,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
         let mtx = Mutex.create () in
         let cond = Condition.create () in
         let heaps = Array.init workers (fun _ -> Heap.Pqueue.create ()) in
-        Heap.Pqueue.push heaps.(0) (key_of_obj root_relax.objective) root_node;
+        Heap.Pqueue.push heaps.(0) (key_of_relax root_relax) root_node;
         let in_flight = ref 0 in
         let finished = ref false in
         let heap_min_all () =
@@ -508,7 +524,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
                       account r;
                       match r.Simplex.status with
                       | Solution.Optimal relax ->
-                          let key = key_of_obj relax.Solution.objective in
+                          let key = key_of_relax relax in
                           if key < !incumbent_key -. 1e-12 then
                             Heap.Pqueue.push heaps.(w) key
                               { parent = Some node;
@@ -650,7 +666,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
                   account r;
                   match r.Simplex.status with
                   | Solution.Optimal relax ->
-                      let key = key_of_obj relax.Solution.objective in
+                      let key = key_of_relax relax in
                       if key < !incumbent_key -. 1e-12 then begin
                         let child =
                           { parent = Some node;
@@ -697,3 +713,9 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
           else
             finish Solution.Infeasible ~proved:true ~best_bound:nan ~t_inc:0.
               ~nodes:!nodes ~trace:[])
+
+let solve ?(options = default_options) ?initial ?root_basis problem =
+  let t0 = Unix.gettimeofday () in
+  Option.iter (fun f -> f ~nodes:0 ~pivots:0) options.on_node;
+  search ~options ~t0 ?initial ?root_basis problem
+    (Presolve.run ~feas_tol:options.simplex.Simplex.feas_tol problem)

@@ -36,6 +36,14 @@
     incumbents are broken lexicographically, keeping the returned
     point stable across exploration schedules.
 
+    Every solve first runs {!Presolve}: bound propagation fixes
+    columns and drops rows, the search runs on the reduced problem,
+    and incumbents are lifted back and judged against the original
+    problem, so the returned point, objective and root basis are in
+    original space.  [Auto] picks its LP engine from the reduced row
+    count.  When propagation proves the problem infeasible, no LP
+    runs at all.
+
     Statistics record when the final incumbent was found
     ([time_to_incumbent]) separately from when optimality was proved
     ([time_total]). *)
@@ -121,9 +129,14 @@ type stats = {
       (** (time, objective) for each incumbent improvement, in
           chronological order *)
   root_basis : Basis.t option;
-      (** optimal basis of the root relaxation; feed it back as
+      (** optimal basis of the root relaxation, postsolved to the
+          original problem's tableau layout; feed it back as
           [?root_basis] when re-solving a rescaled instance of the
-          same problem (rate search) *)
+          same problem (rate search), even when that instance's
+          presolve fixes a different column set *)
+  presolve : Presolve.stats;
+      (** what presolve did to this solve's problem: rows and columns
+          before and after, columns fixed, propagation rounds *)
 }
 
 val fractional_var : int_tol:float -> int list -> float array -> int option
@@ -163,5 +176,6 @@ val solve :
     search starts — a valid primal bound that prunes every subtree
     whose relaxation cannot beat it.  [root_basis] warm-starts the
     root relaxation (useful across rate-search steps, where only the
-    coefficients scale).  Both are performance hints: they never
+    coefficients scale); it is mapped into the presolved problem and
+    dropped when it does not fit there.  Both are performance hints: they never
     change the returned status or objective. *)

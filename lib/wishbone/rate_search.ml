@@ -10,15 +10,16 @@ type placement_result = {
    knapsack and exact branch & bound can take minutes (the paper saw
    12-minute proof tails, §7.1, and suggests terminating on an
    approximate bound).  The search therefore defaults to a small
-   optimality gap and a per-solve budget: the returned partition may
-   be marginally suboptimal at the boundary but the found rate is
-   always feasible. *)
+   optimality gap and a per-solve node budget: the returned partition
+   may be marginally suboptimal at the boundary but the found rate is
+   always feasible.  The budget is in nodes, not seconds, so the
+   answer does not depend on the machine's speed. *)
 let default_search_options =
   {
     Lp.Branch_bound.default_options with
     Lp.Branch_bound.gap_tol = 0.005;
     max_nodes = 5_000;
-    time_limit = 10.;
+    time_limit = infinity;
   }
 
 let feasible_at ?encoding ?preprocess ?(options = default_search_options) spec

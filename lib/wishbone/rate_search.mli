@@ -29,12 +29,15 @@ type placement_result = {
 }
 
 val default_search_options : Lp.Branch_bound.options
-(** A small optimality gap (0.5%) and a per-solve node/time budget.
+(** A small optimality gap (0.5%) and a per-solve node budget of
+    5000 nodes, with no wall-clock limit.
     Near the feasibility boundary the CPU constraint is a tight
     knapsack and exact proofs can take minutes (the paper's §7.1 tail);
-    the search trades marginal optimality for bounded runtime, as the
+    the search trades marginal optimality for bounded work, as the
     paper itself suggests ("use an approximate lower bound to establish
-    a termination condition").  Engine selection and worker count are
+    a termination condition").  The budget counts nodes, not seconds,
+    so the rate found is the same on every machine; set [time_limit]
+    to add a wall-clock cap.  Engine selection and worker count are
     inherited from {!Lp.Branch_bound.default_options} ([Auto] /
     sequential); override [solver]/[workers] here to force an engine or
     parallelise each solve — the rates found are identical either way. *)

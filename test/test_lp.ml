@@ -1075,6 +1075,285 @@ let prop_steal_bb_same_optimum =
 
 (* ---- pqueue ---- *)
 
+
+(* ---- presolve / postsolve ---- *)
+
+(* speech at its boundary rate: every supernode ends up pinned by
+   propagation, so presolve leaves a 0 x 0 problem and the answer is
+   the fixed point itself *)
+let test_presolve_fully_fixed () =
+  let raw = Apps.Speech.profile ~duration:30. (Apps.Speech.build ()) in
+  let spec =
+    match
+      Wishbone.Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let pl =
+    Wishbone.Placement.scale_rate (Wishbone.Placement.of_spec spec)
+      0x1.68155d44ca973p-4
+  in
+  let c = Wishbone.Preprocess.contract pl.Wishbone.Placement.spec in
+  let p =
+    (Wishbone.Placement.encode Wishbone.Placement.Restricted pl c)
+      .Wishbone.Placement.problem
+  in
+  let pre = Presolve.run p in
+  let st = Presolve.stats pre in
+  Alcotest.(check (pair int int)) "presolves to 0 x 0" (0, 0)
+    (st.Presolve.rows_after, st.Presolve.cols_after);
+  let fixed, _ = Presolve.bounds pre in
+  match Branch_bound.solve p with
+  | Solution.Optimal sol, stats ->
+      Alcotest.(check (array (float 0.))) "the fixed point" fixed sol.x;
+      check_close "objective at the fixed point"
+        (Problem.objective_value p fixed) sol.objective;
+      check_close "placement objective" 457.137198 sol.objective;
+      Alcotest.(check bool) "proved" true stats.Branch_bound.proved_optimal;
+      (match stats.Branch_bound.root_basis with
+      | Some b ->
+          let lo, hi = Presolve.bounds pre in
+          Alcotest.(check bool) "postsolved root basis certifies" true
+            (Check.Certificate.check ~lo ~hi p sol b = Check.Certificate.Valid)
+      | None -> Alcotest.fail "no root basis")
+  | st, _ -> Alcotest.failf "expected optimal, got %a" Solution.pp_status st
+
+(* x + y >= 8 with x + y <= 3: the second row caps both at 3, after
+   which the first cannot hold.  The simplex still has the last word,
+   on the original problem, and the hook sees one root and nothing
+   else *)
+let test_presolve_proves_infeasible () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~hi:10. ~integer:true p in
+  let y = Problem.add_var ~hi:10. ~integer:true p in
+  Problem.add_constr p [ (x, 1.); (y, 1.) ] Problem.Ge 8.;
+  Problem.add_constr p [ (x, 1.); (y, 1.) ] Problem.Le 3.;
+  Problem.set_objective p Problem.Minimize [ (x, 1.); (y, 2.) ];
+  let calls = ref [] in
+  let options =
+    { Branch_bound.default_options with
+      on_node = Some (fun ~nodes ~pivots -> calls := (nodes, pivots) :: !calls)
+    }
+  in
+  let status, stats = Branch_bound.solve ~options p in
+  Alcotest.(check bool) "infeasible" true (status = Solution.Infeasible);
+  Alcotest.(check (list (pair int int))) "on_node called once, at the root"
+    [ (0, 0) ] !calls;
+  Alcotest.(check bool) "propagation proved it" true
+    stats.Branch_bound.presolve.Presolve.infeasible;
+  Alcotest.(check int) "no node explored" 0 stats.Branch_bound.nodes_explored;
+  Alcotest.(check int) "nothing reduced" 2
+    stats.Branch_bound.presolve.Presolve.rows_after
+
+(* unbounded columns and equality rows: z = 2 fixes z and turns
+   x + z >= 3 into x >= 1 and w + 2z <= 5 into w <= 1, leaving the
+   equality x + y = 4 + z over the unbounded x, y *)
+let test_presolve_infinite_and_equality () =
+  let p = Problem.create () in
+  let x = Problem.add_var p in
+  let y = Problem.add_var p in
+  let z = Problem.add_var ~hi:5. ~integer:true p in
+  let w = Problem.add_var ~hi:3. ~integer:true p in
+  Problem.add_constr p [ (z, 1.) ] Problem.Eq 2.;
+  Problem.add_constr p [ (x, 1.); (z, 1.) ] Problem.Ge 3.;
+  Problem.add_constr p [ (x, 1.); (y, 1.); (z, -1.) ] Problem.Eq 4.;
+  Problem.add_constr p [ (w, 1.); (z, 2.) ] Problem.Le 5.;
+  Problem.set_objective p Problem.Minimize
+    [ (x, 2.); (y, 1.); (w, -1.); (z, 1.) ];
+  let rendered = Format.asprintf "%a" Problem.pp p in
+  let pre = Presolve.run p in
+  let st = Presolve.stats pre in
+  Alcotest.(check (list int)) "rows, cols, fixed after presolve" [ 1; 3; 1 ]
+    [ st.Presolve.rows_after; st.Presolve.cols_after; st.Presolve.cols_fixed ];
+  Alcotest.(check (array (float 0.))) "x >= 1 and w <= 1 moved onto bounds"
+    [| 1.; 0.; 0. |] (Presolve.lo pre);
+  Alcotest.(check (array (float 0.))) "upper bounds"
+    [| infinity; infinity; 1. |] (Presolve.hi pre);
+  match (Branch_bound.solve p, Brute.solve p) with
+  | (Solution.Optimal sol, stats), Solution.Optimal brute ->
+      check_close "objective" 8. sol.objective;
+      check_close "matches enumeration" brute.objective sol.objective;
+      Alcotest.(check (float 0.)) "feasible in the original" 0.
+        (Problem.constraint_violation p sol.x);
+      let lo, hi = Presolve.bounds pre in
+      Alcotest.(check bool) "postsolved root basis certifies" true
+        (Check.Certificate.check ~lo ~hi p sol
+           (Option.get stats.Branch_bound.root_basis)
+        = Check.Certificate.Valid);
+      Alcotest.(check string) "the caller's problem is untouched" rendered
+        (Format.asprintf "%a" Problem.pp p)
+  | _ -> Alcotest.fail "expected optimal"
+
+(* a root basis recorded at one rate warm-starts a rate whose presolve
+   fixes a different column set (speech) or keeps a different row set
+   (synthetic); the answer must be the cold one *)
+let test_presolve_warm_across_rates () =
+  let placement spec rate =
+    let pl =
+      Wishbone.Placement.scale_rate (Wishbone.Placement.of_spec spec) rate
+    in
+    let c = Wishbone.Preprocess.contract pl.Wishbone.Placement.spec in
+    (Wishbone.Placement.encode Wishbone.Placement.Restricted pl c)
+      .Wishbone.Placement.problem
+  in
+  let speech =
+    match
+      Wishbone.Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky
+        (Apps.Speech.profile ~duration:10. (Apps.Speech.build ()))
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let synth = Apps.Synthetic.random_spec ~seed:3 ~n_ops:40 () in
+  let pair name spec r1 r2 =
+    let p1 = placement spec r1 and p2 = placement spec r2 in
+    let shape p =
+      let st = Presolve.stats (Presolve.run p) in
+      (st.Presolve.cols_fixed, st.Presolve.rows_after)
+    in
+    if shape p1 = shape p2 then
+      Alcotest.failf "%s: rates %g and %g presolve alike" name r1 r2;
+    List.iter
+      (fun (from_p, to_p) ->
+        let basis = (snd (Branch_bound.solve from_p)).Branch_bound.root_basis in
+        Alcotest.(check bool) (name ^ ": a root basis to carry") true
+          (basis <> None);
+        let cold, _ = Branch_bound.solve to_p in
+        let warm, _ = Branch_bound.solve ?root_basis:basis to_p in
+        match (cold, warm) with
+        | Solution.Optimal c, Solution.Optimal w ->
+            Alcotest.(check (float 0.)) (name ^ ": objective") c.objective
+              w.objective;
+            Alcotest.(check (array (float 0.))) (name ^ ": point") c.x w.x
+        | c, w ->
+            Alcotest.(check bool) (name ^ ": status") true (c = w))
+      [ (p1, p2); (p2, p1) ]
+  in
+  pair "speech" speech 0.01 0.05;
+  pair "synthetic" synth 0.05 0.2
+
+
+(* pinned columns leave the search unchanged: the same knapsack with
+   three columns pinned in between the free ones (their weight added
+   back to the capacity) must explore the same tree, return the same
+   free point, and add exactly the pinned columns' objective — also
+   when an incumbent seed makes the bounds do the pruning *)
+let test_presolve_pins_keep_search () =
+  let values = [| 12.; 11.; 9.; 8.; 7.; 6.; 5.; 4. |] in
+  let weights = [| 7.; 6.; 5.; 5.; 4.; 3.; 3.; 2. |] in
+  let build ~pinned =
+    let p = Problem.create () in
+    let terms = ref [] and obj = ref [] and cap = ref 17. in
+    let free =
+      Array.mapi
+        (fun i w ->
+          if pinned && i mod 3 = 1 then begin
+            (* a pinned column: value 1, weight 2, objective -3 or +7 *)
+            let z = Problem.add_var ~lo:1. ~hi:1. ~integer:true p in
+            terms := (z, 2.) :: !terms;
+            obj := (z, if i = 1 then -3. else 7.) :: !obj;
+            cap := !cap +. 2.
+          end;
+          let x = Problem.add_var ~hi:1. ~integer:true p in
+          terms := (x, w) :: !terms;
+          obj := (x, values.(i)) :: !obj;
+          x)
+        weights
+    in
+    Problem.add_constr p (List.rev !terms) Problem.Le !cap;
+    Problem.set_objective p Problem.Maximize (List.rev !obj);
+    (p, free)
+  in
+  let p0, free0 = build ~pinned:false and p1, free1 = build ~pinned:true in
+  let s0, st0 = solve_ilp p0 and s1, st1 = solve_ilp p1 in
+  Alcotest.(check bool) "a real search" true
+    (st0.Branch_bound.nodes_explored > 1);
+  Alcotest.(check int) "pins removed" 3
+    st1.Branch_bound.presolve.Presolve.cols_fixed;
+  Alcotest.(check int) "same tree" st0.Branch_bound.nodes_explored
+    st1.Branch_bound.nodes_explored;
+  Alcotest.(check int) "same LPs" st0.Branch_bound.lp_solves
+    st1.Branch_bound.lp_solves;
+  Alcotest.(check (array (float 0.))) "same free point"
+    (Array.map (fun x -> s0.x.(x)) free0)
+    (Array.map (fun x -> s1.x.(x)) free1);
+  check_close "objective plus the pins' constant" (s0.objective +. 11.)
+    s1.objective;
+  (* a near-optimal incumbent seed (the optimum minus its last item)
+     prunes against bounds that must carry the same constant *)
+  let seed = Array.map (fun (v : Problem.var_info) -> v.lo) (Problem.vars p1) in
+  let chosen =
+    List.filter (fun i -> s0.x.(free0.(i)) > 0.5) (List.init 8 Fun.id)
+  in
+  List.iter
+    (fun i -> seed.(free1.(i)) <- 1.)
+    (List.filteri (fun k _ -> k < List.length chosen - 1) chosen);
+  match Branch_bound.solve ~initial:seed p1 with
+  | Solution.Optimal s, _ ->
+      check_close "seeded solve finds the optimum" s1.objective s.objective
+  | st, _ -> Alcotest.failf "seeded solve: %a" Solution.pp_status st
+
+(* Ground truth on generated instances: branch & bound (which always
+   presolves) against the unpresolved simplex on pure LPs and against
+   exhaustive enumeration on ILPs.  The postsolved point must satisfy
+   the original problem: exactly on the integer-data ILPs, within the
+   simplex's feasibility tolerance on the real-valued LPs (20000
+   generated LPs stayed under 8e-9). *)
+let prop_presolved_lp_matches_simplex =
+  QCheck.Test.make ~count:300 ~name:"presolved B&B = simplex on LPs"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = Check.Gen.lp (Prng.create seed) ~size:6 in
+      let r = Simplex.solve_warm p in
+      match (fst (Branch_bound.solve p), r.Simplex.status) with
+      | Solution.Optimal a, Solution.Optimal b ->
+          let tol = 1e-6 *. (1. +. Float.abs b.objective) in
+          if Float.abs (a.objective -. b.objective) > tol then
+            QCheck.Test.fail_reportf "seed %d: bb=%.9g simplex=%.9g" seed
+              a.objective b.objective
+          else if Problem.constraint_violation p a.x > 1e-7 then
+            QCheck.Test.fail_reportf "seed %d: postsolved point violates by %g"
+              seed (Problem.constraint_violation p a.x)
+          else true
+      | a, b ->
+          a = b
+          || QCheck.Test.fail_reportf "seed %d: bb=%a simplex=%a" seed
+               Solution.pp_status a Solution.pp_status b)
+
+let prop_presolved_ilp_matches_brute =
+  QCheck.Test.make ~count:300 ~name:"presolved B&B = enumeration on ILPs"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let p = Check.Gen.ilp rng ~size:6 in
+      (* pin some columns, as placement pins do, so that substitution
+         and the objective constant are exercised *)
+      Array.iteri
+        (fun j (v : Problem.var_info) ->
+          if Prng.bool rng 0.3 then
+            let span = 1 + int_of_float (v.hi -. v.lo) in
+            Problem.fix_var p j (v.lo +. Float.of_int (Prng.int rng span)))
+        (Problem.vars p);
+      match (fst (Branch_bound.solve p), Brute.optimal_points p) with
+      | Solution.Optimal a, Some (obj, points) ->
+          let proj =
+            Array.of_list (List.map (fun v -> a.x.(v)) (Problem.integer_vars p))
+          in
+          if Float.abs (a.objective -. obj) > 1e-6 then
+            QCheck.Test.fail_reportf "seed %d: bb=%.9g brute=%.9g" seed
+              a.objective obj
+          else if Problem.constraint_violation p a.x <> 0. then
+            QCheck.Test.fail_reportf "seed %d: postsolved point violates by %g"
+              seed (Problem.constraint_violation p a.x)
+          else
+            List.mem proj points
+            || QCheck.Test.fail_reportf "seed %d: not an optimal point" seed
+      | Solution.Infeasible, None -> true
+      | a, _ ->
+          QCheck.Test.fail_reportf "seed %d: bb=%a, brute disagrees" seed
+            Solution.pp_status a)
+
 let test_pqueue_order () =
   let q = Heap.Pqueue.create () in
   let rng = Prng.create 9 in
@@ -1167,6 +1446,17 @@ let () =
           tc "delta bounds round-trip" test_delta_bounds_roundtrip;
           QCheck_alcotest.to_alcotest prop_parallel_bb_same_optimum;
           QCheck_alcotest.to_alcotest prop_steal_bb_same_optimum;
+        ] );
+      ( "presolve",
+        [
+          tc "fully fixed" test_presolve_fully_fixed;
+          tc "infeasible by propagation" test_presolve_proves_infeasible;
+          tc "infinite bounds and equalities"
+            test_presolve_infinite_and_equality;
+          tc "warm basis across rates" test_presolve_warm_across_rates;
+          tc "pins keep the search" test_presolve_pins_keep_search;
+          QCheck_alcotest.to_alcotest prop_presolved_lp_matches_simplex;
+          QCheck_alcotest.to_alcotest prop_presolved_ilp_matches_brute;
         ] );
       ( "pqueue",
         [ tc "heap order" test_pqueue_order; tc "empty" test_pqueue_empty ] );

@@ -718,6 +718,71 @@ let test_testbed_star () =
         (Placement.objective_value two_t ~tier_of:mapped)
   | _ -> Alcotest.fail "testbed star solve failed"
 
+
+(* ---- presolve: a star costs what its free columns cost ------------- *)
+
+(* Deterministic-work gate.  eeg14 at its boundary rate on an 8-mote
+   routing star: the sources sit on mote 0, so propagation fixes every
+   other mote's level columns and removes their rows.  What is left
+   must be exactly the presolved two-tier chain — same row and column
+   counts — and the solve must return the chain's split, with mote 0
+   as the chain's node tier and the root as its server. *)
+let test_presolve_star_is_chain () =
+  let raw = Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ()) in
+  let spec =
+    match
+      Spec.of_profile ~mode:Movable.Permissive
+        ~node_platform:Profiler.Platform.tmote_sky raw
+    with
+    | Ok s -> Spec.scale_rate s 0x1.6dfb23c651a2fp+0
+    | Error m -> Alcotest.fail m
+  in
+  let n_leaves = 8 in
+  let n_ops = Array.length spec.Spec.cpu in
+  let star =
+    Placement.v
+      ~topology:
+        (Placement.Topology.of_parents
+           (Netsim.Testbed.routing_parents ~n_nodes:n_leaves))
+      ~spec
+      ~tiers:
+        (List.init n_leaves (fun k ->
+             { Placement.tname = Printf.sprintf "leaf%d" k; cpu = spec.Spec.cpu;
+               cpu_budget = spec.Spec.cpu_budget; alpha = spec.Spec.alpha })
+        @ [ { Placement.tname = "server"; cpu = Array.make n_ops 0.;
+              cpu_budget = infinity; alpha = 0. } ])
+      ~links:
+        (List.init n_leaves (fun k ->
+             { Placement.lname = Printf.sprintf "radio%d" k;
+               net_budget = spec.Spec.net_budget; beta = spec.Spec.beta }))
+      ()
+  in
+  let chain = Placement.of_spec spec in
+  let presolved pl =
+    let c = Preprocess.contract pl.Placement.spec in
+    let enc = Placement.encode Placement.Restricted pl c in
+    Lp.Presolve.stats (Lp.Presolve.run enc.Placement.problem)
+  in
+  let s = presolved star and ch = presolved chain in
+  Alcotest.(check (pair int int)) "star encodes 5308 x 3616" (5308, 3616)
+    (s.Lp.Presolve.rows_before, s.Lp.Presolve.cols_before);
+  Alcotest.(check (pair int int)) "star presolves to the chain's rows x cols"
+    (ch.Lp.Presolve.rows_after, ch.Lp.Presolve.cols_after)
+    (s.Lp.Presolve.rows_after, s.Lp.Presolve.cols_after);
+  Alcotest.(check (pair int int)) "the presolved chain is 548 x 434" (548, 434)
+    (ch.Lp.Presolve.rows_after, ch.Lp.Presolve.cols_after);
+  match (Placement.solve star, Placement.solve chain) with
+  | Placement.Partitioned st, Placement.Partitioned two ->
+      Alcotest.(check (array int)) "star split = chain split"
+        two.Placement.tier_of
+        (Array.map
+           (fun t -> if t = n_leaves then 1 else if t = 0 then 0 else -1)
+           st.Placement.tier_of);
+      Alcotest.(check string) "same objective"
+        (Printf.sprintf "%.6f" two.Placement.objective)
+        (Printf.sprintf "%.6f" st.Placement.objective)
+  | _ -> Alcotest.fail "eeg14 star or chain solve failed"
+
 let () =
   Alcotest.run "placement"
     [
@@ -751,6 +816,8 @@ let () =
           Alcotest.test_case "chain is a degenerate tree" `Quick
             test_chain_tree_byte_identical;
           Alcotest.test_case "testbed routing star" `Quick test_testbed_star;
+          Alcotest.test_case "presolved eeg14 star is the chain" `Quick
+            test_presolve_star_is_chain;
         ] );
       ( "steal",
         [
