@@ -33,7 +33,13 @@ let spec_exn ?mode ~platform raw =
   | Ok s -> s
   | Error m -> failwith m
 
+(* the paper's node/server cut is the two-tier placement of a spec *)
+let partition spec = Wishbone.Placement.solve (Wishbone.Placement.of_spec spec)
+
+let max_rate spec =
+  Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+
 let cut_names (speech : Apps.Speech.t) report =
   List.map
     (fun i -> (Dataflow.Graph.op speech.Apps.Speech.graph i).Dataflow.Op.name)
-    (Wishbone.Partitioner.node_ops report)
+    (Wishbone.Placement.tier_ops report 0)

@@ -33,7 +33,8 @@ let run_mode ~label ~warm spec =
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
   let result =
-    Wishbone.Rate_search.search ~incremental:warm ~options spec
+    Wishbone.Rate_search.search_placement ~incremental:warm ~options
+      (Wishbone.Placement.of_spec spec)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let pivots = Lp.Simplex.cumulative_pivots () - p0 in
@@ -41,12 +42,10 @@ let run_mode ~label ~warm spec =
   let lp_solves, hot_solves, rate =
     match result with
     | Some r ->
-        let solver =
-          r.Wishbone.Rate_search.report.Wishbone.Partitioner.solver
-        in
+        let solver = r.Wishbone.Rate_search.placement_report.solver in
         ( solver.Lp.Branch_bound.lp_solves,
           solver.Lp.Branch_bound.hot_solves,
-          r.Wishbone.Rate_search.rate_multiplier )
+          r.Wishbone.Rate_search.placement_multiplier )
     | None -> (0, 0, nan)
   in
   Bench_util.row "%-6s %10d pivots  %8.3f s  rate x%.4f\n" label pivots wall_s
@@ -87,8 +86,10 @@ let resolve_at ~warm spec rate =
   let p0 = Lp.Simplex.cumulative_pivots () in
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
-  match Wishbone.Partitioner.solve ~options scaled with
-  | Wishbone.Partitioner.Partitioned r ->
+  match
+    Wishbone.Placement.solve ~options (Wishbone.Placement.of_spec scaled)
+  with
+  | Wishbone.Placement.Partitioned r ->
       let c1 = Lp.Sparse.counters () in
       Some
         {
@@ -97,7 +98,7 @@ let resolve_at ~warm spec rate =
             c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
           r_ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
           r_wall_s = Unix.gettimeofday () -. t0;
-          objective = r.Wishbone.Partitioner.objective;
+          objective = r.Wishbone.Placement.objective;
         }
   | _ -> None
 
@@ -173,13 +174,15 @@ let smoke () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      match Wishbone.Partitioner.solve ~options spec with
-      | Wishbone.Partitioner.Partitioned r ->
-          (r.Wishbone.Partitioner.objective, Unix.gettimeofday () -. t0)
-      | Wishbone.Partitioner.No_feasible_partition ->
+      match
+        Wishbone.Placement.solve ~options (Wishbone.Placement.of_spec spec)
+      with
+      | Wishbone.Placement.Partitioned r ->
+          (r.Wishbone.Placement.objective, Unix.gettimeofday () -. t0)
+      | Wishbone.Placement.No_feasible_partition ->
           Printf.eprintf "smoke %s: unexpectedly infeasible\n" name;
           exit 1
-      | Wishbone.Partitioner.Solver_failure m ->
+      | Wishbone.Placement.Solver_failure m ->
           Printf.eprintf "smoke %s: solver failure: %s\n" name m;
           exit 1
     in

@@ -1,4 +1,4 @@
-(* Randomized correctness fuzzing: seeded generators + the ten
+(* Randomized correctness fuzzing: seeded generators + the nine
    oracles of lib/check (DESIGN.md §11).  Exit status 0 iff every
    case passed. *)
 
@@ -64,11 +64,11 @@ let oracles =
         ~doc:
           "Oracle to run (repeatable): lp-certificate, ilp-brute, \
            cut-enumeration, split-equivalence, degradation, \
-           placement-equivalence, service-equivalence, \
+           service-equivalence, \
            degraded-soundness ($(b,degraded) for short), \
            tree-equivalence ($(b,tree) for short), \
            sched-equivalence ($(b,sched) for short).  Default: all \
-           ten.")
+           nine.")
 
 let no_shrink =
   Arg.(

@@ -118,69 +118,12 @@ let parse_chain s =
     in
     go [] names
 
-(* The spec (built for the chain's first platform) is tier 0, each
-   further platform a middle tier, plus an implicit unbudgeted central
-   server.  Link k leaves tier k on that tier's radio; the per-byte
-   objective weight falls off by 0.3 per hop — Three_tier's
-   beta_micro default, upstream radio bytes being the scarce
-   resource. *)
-let placement_of_chain (spec : Wishbone.Spec.t) raw middles =
-  let n = Array.length spec.Wishbone.Spec.cpu in
-  let node_tier =
-    {
-      Wishbone.Placement.tname = "node";
-      cpu = spec.Wishbone.Spec.cpu;
-      cpu_budget = spec.Wishbone.Spec.cpu_budget;
-      alpha = spec.Wishbone.Spec.alpha;
-    }
-  in
-  let middle_tiers =
-    List.map
-      (fun (p : Profiler.Platform.t) ->
-        let costed = Profiler.Profile.cost raw p in
-        {
-          Wishbone.Placement.tname = p.name;
-          cpu = costed.Profiler.Profile.cpu_fraction;
-          cpu_budget = p.cpu_budget;
-          alpha = 0.;
-        })
-      middles
-  in
-  let server =
-    {
-      Wishbone.Placement.tname = "server";
-      cpu = Array.make n 0.;
-      cpu_budget = infinity;
-      alpha = 0.;
-    }
-  in
-  let links =
-    {
-      Wishbone.Placement.lname = "radio0";
-      net_budget = spec.Wishbone.Spec.net_budget;
-      beta = spec.Wishbone.Spec.beta;
-    }
-    :: List.mapi
-         (fun i (p : Profiler.Platform.t) ->
-           {
-             Wishbone.Placement.lname = Printf.sprintf "uplink%d" (i + 1);
-             net_budget = p.Profiler.Platform.radio_bytes_per_sec;
-             beta =
-               spec.Wishbone.Spec.beta *. (0.3 ** Float.of_int (i + 1));
-           })
-         middles
-  in
-  Wishbone.Placement.v ~spec
-    ~tiers:((node_tier :: middle_tiers) @ [ server ])
-    ~links ()
-
 (* ---- tier trees (--topology) ---- *)
 
 (* A rooted tier tree over the listed platforms, node-most first, plus
    the implicit unbudgeted central server as the root (one past the
-   last listed platform).  [parents = None] is the plain chain, routed
-   through [placement_of_chain] so it stays byte-identical to
-   --tiers. *)
+   last listed platform).  [parents = None] is the plain chain, built
+   by [Placement.of_platforms] exactly as --tiers builds it. *)
 type topo_spec = {
   plats : Profiler.Platform.t list;
   parents : int array option;
@@ -254,7 +197,7 @@ let parse_topology s =
       in
       go 0 [] [] toks
 
-(* The tree analogue of [placement_of_chain]: tier 0 is the spec, each
+(* The tree analogue of [Placement.of_platforms]: tier 0 is the spec, each
    further listed platform a costed tier, the implicit server the
    root.  Link k is tier k's uplink; its per-byte weight falls off by
    0.3 per hop of tree depth $(i,below) it (the leafward radios being
@@ -262,7 +205,6 @@ let parse_topology s =
    0.3^k fall-off exactly. *)
 let placement_of_topology (spec : Wishbone.Spec.t) raw plats parents =
   let topo = Wishbone.Placement.Topology.of_parents parents in
-  let n = Array.length spec.Wishbone.Spec.cpu in
   let n_tiers = Wishbone.Placement.Topology.n_tiers topo in
   let depth_below = Array.make n_tiers 0 in
   (* children always carry smaller indices, so one ascending pass *)
@@ -272,14 +214,8 @@ let placement_of_topology (spec : Wishbone.Spec.t) raw plats parents =
         depth_below.(k) <- Int.max depth_below.(k) (depth_below.(c) + 1))
       (Wishbone.Placement.Topology.children topo k)
   done;
-  let node_tier =
-    {
-      Wishbone.Placement.tname = "node";
-      cpu = spec.Wishbone.Spec.cpu;
-      cpu_budget = spec.Wishbone.Spec.cpu_budget;
-      alpha = spec.Wishbone.Spec.alpha;
-    }
-  in
+  (* the node and server tiers and the node radio are the two-way cut's *)
+  let base = Wishbone.Placement.of_spec spec in
   let rest =
     List.mapi
       (fun i (p : Profiler.Platform.t) ->
@@ -292,23 +228,10 @@ let placement_of_topology (spec : Wishbone.Spec.t) raw plats parents =
         })
       (List.tl plats)
   in
-  let server =
-    {
-      Wishbone.Placement.tname = "server";
-      cpu = Array.make n 0.;
-      cpu_budget = infinity;
-      alpha = 0.;
-    }
-  in
   let links =
     List.mapi
       (fun k (p : Profiler.Platform.t) ->
-        if k = 0 then
-          {
-            Wishbone.Placement.lname = "radio0";
-            net_budget = spec.Wishbone.Spec.net_budget;
-            beta = spec.Wishbone.Spec.beta;
-          }
+        if k = 0 then { (base.links.(0)) with lname = "radio0" }
         else
           {
             Wishbone.Placement.lname = Printf.sprintf "uplink%d" k;
@@ -320,12 +243,12 @@ let placement_of_topology (spec : Wishbone.Spec.t) raw plats parents =
       plats
   in
   Wishbone.Placement.v ~topology:topo ~spec
-    ~tiers:((node_tier :: rest) @ [ server ])
+    ~tiers:((base.tiers.(0) :: rest) @ [ base.tiers.(1) ])
     ~links ()
 
 let placement_of_topo_spec spec raw ts =
   match ts.parents with
-  | None -> placement_of_chain spec raw (List.tl ts.plats)
+  | None -> Wishbone.Placement.of_platforms spec raw (List.tl ts.plats)
   | Some parents -> placement_of_topology spec raw ts.plats parents
 
 (* ---- app construction ---- *)
@@ -638,77 +561,46 @@ let partition_cmd =
         Printf.eprintf "error: %s\n" m;
         exit 1
     | Ok spec -> (
-        match ts with
-        | None -> (
-            let finish (report : Wishbone.Partitioner.report) =
-              Format.printf "%a@."
-                (Wishbone.Partitioner.pp_report b.graph)
-                report;
-              report_counters options ~fb0 report.solver;
-              report_budget ~objective:report.objective report.solver;
-              write_dot report.assignment
-            in
-            if search then
-              match Wishbone.Rate_search.search ~options spec with
-              | Some { rate_multiplier; report } ->
-                  Printf.printf "maximum sustainable rate: x%.4f\n"
-                    rate_multiplier;
-                  finish report
-              | None ->
-                  print_endline "no feasible partition at any rate";
-                  exit 1
-            else
-              let spec = Wishbone.Spec.scale_rate spec rate in
-              match Wishbone.Partitioner.solve ~options spec with
-              | Wishbone.Partitioner.Partitioned report -> finish report
-              | Wishbone.Partitioner.No_feasible_partition ->
-                  print_endline
-                    "no feasible partition at this rate; try --search";
-                  exit 1
-              | Wishbone.Partitioner.Solver_failure m
-                when m = "solver budget exhausted" ->
-                  budget_failure m
-              | Wishbone.Partitioner.Solver_failure m ->
-                  Printf.eprintf "solver failure: %s\n" m;
-                  exit 1)
-        | Some ts -> (
-            let pl = placement_of_topo_spec spec raw ts in
-            let finish pl (r : Wishbone.Placement.report) =
-              Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-              report_counters options ~fb0 r.solver;
-              report_budget ~objective:r.objective r.solver;
-              write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
-            in
-            if search then
-              match Wishbone.Rate_search.search_placement ~options pl with
-              | Some { placement_multiplier; placement_report; placement_exact }
-                ->
-                  Printf.printf "maximum sustainable rate: x%.4f%s\n"
-                    placement_multiplier
-                    (if placement_exact then ""
-                     else
-                       " (degraded: a search probe died on the solver \
-                        budget; this rate is a safe lower bound)");
-                  finish
-                    (Wishbone.Placement.scale_rate pl placement_multiplier)
-                    placement_report
-              | None ->
-                  print_endline "no feasible placement at any rate";
-                  exit 1
-            else
-              let pl = Wishbone.Placement.scale_rate pl rate in
-              match Wishbone.Placement.solve ~options pl with
-              | Wishbone.Placement.Partitioned r -> finish pl r
-              | Wishbone.Placement.No_feasible_partition ->
-                  print_endline
-                    "no feasible placement at this rate; try --search";
-                  exit 1
-              | Wishbone.Placement.Solver_failure m
-                when m = "solver budget exhausted" ->
-                  budget_failure m
-              | Wishbone.Placement.Solver_failure m ->
-                  Printf.eprintf "solver failure: %s\n" m;
-                  exit 1))
+        (* the classic node/server cut is the two-tier placement *)
+        let pl =
+          match ts with
+          | None -> Wishbone.Placement.of_spec spec
+          | Some ts -> placement_of_topo_spec spec raw ts
+        in
+        let finish pl (r : Wishbone.Placement.report) =
+          Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
+          report_counters options ~fb0 r.solver;
+          report_budget ~objective:r.objective r.solver;
+          write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
+        in
+        if search then
+          match Wishbone.Rate_search.search_placement ~options pl with
+          | Some { placement_multiplier; placement_report; placement_exact } ->
+              Printf.printf "maximum sustainable rate: x%.4f%s\n"
+                placement_multiplier
+                (if placement_exact then ""
+                 else
+                   " (degraded: a search probe died on the solver budget; \
+                    this rate is a safe lower bound)");
+              finish
+                (Wishbone.Placement.scale_rate pl placement_multiplier)
+                placement_report
+          | None ->
+              print_endline "no feasible partition at any rate";
+              exit 1
+        else
+          let pl = Wishbone.Placement.scale_rate pl rate in
+          match Wishbone.Placement.solve ~options pl with
+          | Wishbone.Placement.Partitioned r -> finish pl r
+          | Wishbone.Placement.No_feasible_partition ->
+              print_endline "no feasible partition at this rate; try --search";
+              exit 1
+          | Wishbone.Placement.Solver_failure m
+            when m = "solver budget exhausted" ->
+              budget_failure m
+          | Wishbone.Placement.Solver_failure m ->
+              Printf.eprintf "solver failure: %s\n" m;
+              exit 1)
   in
   Cmd.v
     (Cmd.info "partition"
@@ -747,15 +639,16 @@ let sweep_cmd =
             lo +. ((hi -. lo) *. Float.of_int i /. Float.of_int (Int.max 1 (steps - 1)))
           in
           match
-            Wishbone.Partitioner.solve (Wishbone.Spec.scale_rate spec mult)
+            Wishbone.Placement.solve
+              (Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec mult))
           with
-          | Wishbone.Partitioner.Partitioned r ->
+          | Wishbone.Placement.Partitioned r ->
               Printf.printf "%-10.3f %16d %16.1f %12.1f\n" mult
-                (List.length (Wishbone.Partitioner.node_ops r))
-                r.net (100. *. r.cpu)
-          | Wishbone.Partitioner.No_feasible_partition ->
+                (List.length (Wishbone.Placement.tier_ops r 0))
+                r.link_net.(0) (100. *. r.tier_cpu.(0))
+          | Wishbone.Placement.No_feasible_partition ->
               Printf.printf "%-10.3f %16s\n" mult "(does not fit)"
-          | Wishbone.Partitioner.Solver_failure m ->
+          | Wishbone.Placement.Solver_failure m ->
               Printf.printf "%-10.3f solver failure: %s\n" mult m
         done
   in

@@ -1,9 +1,10 @@
-(* Heterogeneous deployment planning with the §9 extensions:
+(* Heterogeneous deployment planning with the §9 extensions, all of
+   them instances of Wishbone.Placement:
 
    - a mixed network (TMote motes + Meraki gateways) gets one physical
-     partition per node class (Wishbone.Mixed);
-   - a three-tier architecture (motes -> microservers -> server) is
-     partitioned with the two-level ILP (Wishbone.Three_tier);
+     partition per node class: one two-tier solve per class;
+   - a three-tier architecture (motes -> microservers -> server) is a
+     three-tier placement;
    - an in-network aggregation operator's fan-in cost is modelled with
      Wishbone.Aggregation.
 
@@ -11,25 +12,50 @@
 
 open Dataflow
 
+(* §9 mixed networks: run the partitioner once per node class, each
+   with its platform's costs and an equal share of its channel; a
+   class that does not fit is planned at its maximum sustainable rate *)
+let plan_classes raw classes =
+  List.map
+    (fun ((platform : Profiler.Platform.t), n_nodes) ->
+      let net_budget =
+        platform.radio_bytes_per_sec /. Float.of_int (Int.max 1 n_nodes)
+      in
+      match
+        Wishbone.Spec.of_profile ~net_budget ~node_platform:platform raw
+      with
+      | Error m -> Error m
+      | Ok spec -> (
+          let pl = Wishbone.Placement.of_spec spec in
+          match Wishbone.Placement.solve pl with
+          | Wishbone.Placement.Partitioned r -> Ok (platform, n_nodes, r)
+          | Wishbone.Placement.No_feasible_partition -> (
+              match Wishbone.Rate_search.search_placement pl with
+              | Some r -> Ok (platform, n_nodes, r.placement_report)
+              | None ->
+                  Error
+                    (Printf.sprintf "class %s: no feasible partition"
+                       platform.name))
+          | Wishbone.Placement.Solver_failure m -> Error m))
+    classes
+
 let () =
   let app = Apps.Speech.build () in
   let raw = Apps.Speech.profile ~duration:20. app in
 
   (* ---- mixed network: per-class physical partitions ---- *)
   print_endline "mixed network: 16 TMotes and 2 Meraki gateways";
-  (match
-     Wishbone.Mixed.plan raw
-       ~classes:
-         [
-           { Wishbone.Mixed.platform = Profiler.Platform.tmote_sky;
-             n_nodes = 16; net_share = None };
-           { Wishbone.Mixed.platform = Profiler.Platform.meraki; n_nodes = 2;
-             net_share = None };
-         ]
-   with
-  | Error m -> print_endline ("mixed plan failed: " ^ m)
-  | Ok plans ->
-      Format.printf "%a@." (Wishbone.Mixed.pp app.Apps.Speech.graph) plans);
+  List.iter
+    (function
+      | Error m -> print_endline ("mixed plan failed: " ^ m)
+      | Ok ((p : Profiler.Platform.t), n, (r : Wishbone.Placement.report)) ->
+          Printf.printf "%s x%d: %d ops on node, cut %.1f B/s, cpu %.1f%%\n"
+            p.name n
+            (List.length (Wishbone.Placement.tier_ops r 0))
+            r.link_net.(0)
+            (100. *. r.tier_cpu.(0)))
+    (plan_classes raw
+       [ (Profiler.Platform.tmote_sky, 16); (Profiler.Platform.meraki, 2) ]);
 
   (* ---- three tiers: motes -> meraki microservers -> server ---- *)
   print_endline
@@ -37,30 +63,33 @@ let () =
      microservers, microservers feed the server):";
   let slow = Profiler.Profile.scale_rate raw 0.08 in
   (match
-     Wishbone.Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-       ~micro:Profiler.Platform.meraki ~micro_net_budget:300. slow
+     Wishbone.Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky slow
    with
   | Error m -> print_endline m
-  | Ok t -> (
-      match Wishbone.Three_tier.solve t with
-      | Wishbone.Three_tier.Partitioned r ->
-          let tier_name = function
-            | Wishbone.Three_tier.Mote -> "mote"
-            | Wishbone.Three_tier.Microserver -> "microserver"
-            | Wishbone.Three_tier.Central -> "server"
-          in
+  | Ok spec -> (
+      (* mote radio bytes weigh 1, microserver uplink bytes 0.3; the
+         uplink is squeezed to 300 B/s to push work into the middle *)
+      let pl =
+        Wishbone.Placement.of_platforms spec slow [ Profiler.Platform.meraki ]
+      in
+      let uplink = { (pl.links.(1)) with net_budget = 300. } in
+      let pl = { pl with links = [| pl.links.(0); uplink |] } in
+      match Wishbone.Placement.solve pl with
+      | Wishbone.Placement.Partitioned r ->
           Array.iteri
             (fun i tier ->
               Printf.printf "  %-10s -> %s\n"
-                (Graph.op app.Apps.Speech.graph i).Op.name (tier_name tier))
-            r.tiers;
+                (Graph.op app.Apps.Speech.graph i).Op.name
+                [| "mote"; "microserver"; "server" |].(tier))
+            r.tier_of;
           Printf.printf
             "mote radio %.1f B/s, microserver uplink %.1f B/s; mote cpu \
              %.1f%%, micro cpu %.1f%%\n"
-            r.mote_net r.micro_net (100. *. r.mote_cpu) (100. *. r.micro_cpu)
-      | Wishbone.Three_tier.No_feasible_partition ->
+            r.link_net.(0) r.link_net.(1) (100. *. r.tier_cpu.(0))
+            (100. *. r.tier_cpu.(1))
+      | Wishbone.Placement.No_feasible_partition ->
           print_endline "  no feasible three-tier placement"
-      | Wishbone.Three_tier.Solver_failure m -> print_endline m));
+      | Wishbone.Placement.Solver_failure m -> print_endline m));
 
   (* ---- in-network aggregation ---- *)
   print_endline "\nin-network aggregation: a mean-over-8-windows reducer";
@@ -102,12 +131,14 @@ let () =
           let annotated =
             Wishbone.Aggregation.annotate_fan_in spec ~op:!reduce ~fan_in
           in
-          match Wishbone.Partitioner.solve annotated with
-          | Wishbone.Partitioner.Partitioned r ->
+          match
+            Wishbone.Placement.solve (Wishbone.Placement.of_spec annotated)
+          with
+          | Wishbone.Placement.Partitioned r ->
               Printf.printf
                 "  fan-in %4.0f: reduce runs %-10s (node cpu %5.1f%%, cut %.1f B/s)\n"
                 fan_in
-                (if r.assignment.(!reduce) then "in-network" else "at server")
-                (100. *. r.cpu) r.net
+                (if r.tier_of.(!reduce) = 0 then "in-network" else "at server")
+                (100. *. r.tier_cpu.(0)) r.link_net.(0)
           | _ -> Printf.printf "  fan-in %4.0f: no partition\n" fan_in)
         [ 1.; 8.; 64.; 512.; 4096. ]

@@ -4,7 +4,6 @@ type oracle =
   | Cut_enumeration
   | Split_equivalence
   | Degradation
-  | Placement_equivalence
   | Service_equivalence
   | Degraded_soundness
   | Tree_equivalence
@@ -12,7 +11,7 @@ type oracle =
 
 let all_oracles =
   [ Lp_certificate; Ilp_brute; Cut_enumeration; Split_equivalence;
-    Degradation; Placement_equivalence; Service_equivalence;
+    Degradation; Service_equivalence;
     Degraded_soundness; Tree_equivalence; Sched_equivalence ]
 
 let oracle_name = function
@@ -21,7 +20,6 @@ let oracle_name = function
   | Cut_enumeration -> "cut-enumeration"
   | Split_equivalence -> "split-equivalence"
   | Degradation -> "degradation"
-  | Placement_equivalence -> "placement-equivalence"
   | Service_equivalence -> "service-equivalence"
   | Degraded_soundness -> "degraded-soundness"
   | Tree_equivalence -> "tree-equivalence"
@@ -29,10 +27,8 @@ let oracle_name = function
 
 let oracle_of_name s =
   let s = String.lowercase_ascii (String.trim s) in
-  (* "placement", "service", "degraded", "tree" and "sched" are short
-     aliases *)
-  if s = "placement" then Some Placement_equivalence
-  else if s = "service" then Some Service_equivalence
+  (* "service", "degraded", "tree" and "sched" are short aliases *)
+  if s = "service" then Some Service_equivalence
   else if s = "degraded" then Some Degraded_soundness
   else if s = "tree" then Some Tree_equivalence
   else if s = "sched" then Some Sched_equivalence
@@ -44,7 +40,8 @@ let oracle_index = function
   | Cut_enumeration -> 2
   | Split_equivalence -> 3
   | Degradation -> 4
-  | Placement_equivalence -> 5
+  (* 5 was the retired placement-equivalence oracle; the numbering
+     keeps a gap so every surviving oracle's case seeds stay put *)
   | Service_equivalence -> 6
   | Degraded_soundness -> 7
   | Tree_equivalence -> 8
@@ -198,20 +195,6 @@ let run_case cfg oracle ~case =
       in
       let s = Gen.spec gen_rng scfg in
       let check s = Oracle.degradation (chk ()) s in
-      match check s with
-      | Oracle.Pass -> None
-      | Oracle.Fail msg ->
-          let small =
-            if cfg.shrink then Shrink.spec (safe_fails check) s else s
-          in
-          mk (remsg check small msg) (pp_spec small))
-  | Placement_equivalence -> (
-      let scfg = spec_cfg gen_rng ~size:cfg.size in
-      let s = Gen.spec gen_rng scfg in
-      (* the synthesized microserver tier re-derives from the case
-         seed, so the shrink predicate stays a pure function of the
-         spec *)
-      let check s = Oracle.placement_equivalence (chk ()) s in
       match check s with
       | Oracle.Pass -> None
       | Oracle.Fail msg ->

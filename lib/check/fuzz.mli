@@ -15,9 +15,6 @@ type oracle =
   | Split_equivalence
   | Degradation
       (** shedding split execution loses subtractively, never corrupts *)
-  | Placement_equivalence
-      (** the generic placement core agrees with the dedicated two- and
-          three-tier enumerations ("placement" is a CLI alias) *)
   | Service_equivalence
       (** the fleet placement service replays, warm-starts and shards
           byte-identically to the direct solve path ("service" is a
@@ -28,10 +25,10 @@ type oracle =
           byte-identical to the unbudgeted path ("degraded" is a CLI
           alias) *)
   | Tree_equivalence
-      (** tree-topology placement agrees with brute-force enumeration
-          over random tier trees, and a chain expressed as a
-          degenerate tree encodes the byte-identical ILP ("tree" is a
-          CLI alias) *)
+      (** placement agrees with brute-force enumeration over random
+          tier trees of 2–5 tiers (two tiers is the classic cut), and
+          a chain expressed as a degenerate tree encodes the
+          byte-identical ILP ("tree" is a CLI alias) *)
   | Sched_equivalence
       (** the timing-wheel event scheduler walks the identical event
           trace and lands on the bit-identical testbed result as the

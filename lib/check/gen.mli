@@ -38,8 +38,8 @@ val spec : Prng.t -> cfg -> Wishbone.Spec.t
 val random_cut : Prng.t -> Wishbone.Spec.t -> bool array
 (** A random single-crossing assignment (true = node): respects the
     spec's pinning and is closed under predecessors, so every crossing
-    edge flows node → server — exactly the cuts {!Runtime.Splitrun}
-    can execute. *)
+    edge flows node → server — exactly the cuts a two-tier
+    {!Runtime.Multirun} can execute. *)
 
 val lp : Prng.t -> size:int -> Lp.Problem.t
 (** A random pure LP: [2 .. size+1] bounded variables (occasionally
@@ -51,7 +51,7 @@ val ilp : Prng.t -> size:int -> Lp.Problem.t
 (** Like {!lp} but every variable is integral with small finite
     bounds, so {!Lp.Brute} can enumerate it. *)
 
-val resources : Prng.t -> Wishbone.Spec.t -> Wishbone.Ilp.resource list
+val resources : Prng.t -> Wishbone.Spec.t -> Wishbone.Placement.resource list
 (** 0–2 random per-operator resource rows (RAM / code-storage shape)
     sized so they sometimes bind. *)
 

@@ -216,11 +216,11 @@ let ilp_brute problem =
                         (List.length points))
       | _ -> Pass
 
-(* ---- oracle 3: partitioner vs exhaustive cut enumeration ---- *)
+(* ---- oracle 3: the two-tier cut vs exhaustive cut enumeration ---- *)
 
 let resource_ok resources node_side =
   List.for_all
-    (fun (r : Wishbone.Ilp.resource) ->
+    (fun (r : Wishbone.Placement.resource) ->
       let used = ref 0. in
       Array.iteri
         (fun i on -> if on then used := !used +. r.per_op.(i))
@@ -263,14 +263,17 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
   let label =
     Printf.sprintf "%s/%s"
       (match encoding with
-      | Wishbone.Ilp.Restricted -> "restricted"
-      | Wishbone.Ilp.General -> "general")
+      | Wishbone.Placement.Restricted -> "restricted"
+      | Wishbone.Placement.General -> "general")
       (if preprocess then "preprocessed" else "direct")
   in
-  match Wishbone.Partitioner.solve ~encoding ~preprocess ~resources spec with
-  | Wishbone.Partitioner.Solver_failure msg ->
+  match
+    Wishbone.Placement.solve ~encoding ~preprocess ~resources
+      (Wishbone.Placement.of_spec spec)
+  with
+  | Wishbone.Placement.Solver_failure msg ->
       Error (Printf.sprintf "%s: solver failure: %s" label msg)
-  | Wishbone.Partitioner.No_feasible_partition -> (
+  | Wishbone.Placement.No_feasible_partition -> (
       match best with
       | None -> Ok ()
       | Some b ->
@@ -278,7 +281,7 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
             (Printf.sprintf
                "%s: reported infeasible but a cut with objective %g exists"
                label b))
-  | Wishbone.Partitioner.Partitioned rep -> (
+  | Wishbone.Placement.Partitioned rep -> (
       match best with
       | None ->
           Error
@@ -286,8 +289,9 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
                "%s: reported a partition but enumeration finds none feasible"
                label)
       | Some b ->
-          let node_side = rep.assignment in
-          let single = encoding = Wishbone.Ilp.Restricted in
+          let node_side = Array.map (fun tier -> tier = 0) rep.tier_of in
+          let rep_cpu = rep.tier_cpu.(0) and rep_net = rep.link_net.(0) in
+          let single = encoding = Wishbone.Placement.Restricted in
           if
             not
               (Wishbone.Spec.feasible ~require_single_crossing:single spec
@@ -301,14 +305,14 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
             let cpu, net = Wishbone.Spec.cut_stats spec ~node_side in
             let obj = Wishbone.Spec.objective_value spec ~node_side in
             let tol = 1e-5 *. (1. +. Float.abs b) in
-            if Float.abs (cpu -. rep.cpu) > tol then
+            if Float.abs (cpu -. rep_cpu) > tol then
               Error
                 (Printf.sprintf "%s: reported cpu %g but cut_stats says %g"
-                   label rep.cpu cpu)
-            else if Float.abs (net -. rep.net) > tol then
+                   label rep_cpu cpu)
+            else if Float.abs (net -. rep_net) > tol then
               Error
                 (Printf.sprintf "%s: reported net %g but cut_stats says %g"
-                   label rep.net net)
+                   label rep_net net)
             else if Float.abs (obj -. rep.objective) > tol then
               Error
                 (Printf.sprintf
@@ -334,10 +338,10 @@ let cut_enumeration ?(resources = []) (spec : Wishbone.Spec.t) =
     let best_g = enumerate_cuts ~resources spec ~single_crossing:false in
     let configs =
       [
-        (Wishbone.Ilp.Restricted, true, best_r);
-        (Wishbone.Ilp.Restricted, false, best_r);
-        (Wishbone.Ilp.General, true, best_g);
-        (Wishbone.Ilp.General, false, best_g);
+        (Wishbone.Placement.Restricted, true, best_r);
+        (Wishbone.Placement.Restricted, false, best_r);
+        (Wishbone.Placement.General, true, best_g);
+        (Wishbone.Placement.General, false, best_g);
       ]
     in
     let rec run = function
@@ -374,7 +378,11 @@ let run_split_equiv (spec : Wishbone.Spec.t) cut ~label =
     |> List.map (fun (o : Dataflow.Op.t) -> o.id)
   in
   let full = Runtime.Exec.full g in
-  let split = Runtime.Splitrun.create ~node_of:(fun i -> cut.(i)) g in
+  let split =
+    Runtime.Multirun.create ~n_tiers:2
+      ~tier_of:(fun i -> if cut.(i) then 0 else 1)
+      g
+  in
   let failure = ref None in
   let record fmt =
     Format.kasprintf
@@ -386,7 +394,7 @@ let run_split_equiv (spec : Wishbone.Spec.t) cut ~label =
       (fun src ->
         let v = Dataflow.Value.Int ((13 * k) + src) in
         let fired = Runtime.Exec.fire full ~op:src ~port:0 v in
-        let split_out = Runtime.Splitrun.inject split ~source:src v in
+        let split_out = Runtime.Multirun.inject split ~source:src v in
         if
           not
             (equal_multisets fired.Runtime.Exec.sink_values split_out)
@@ -402,8 +410,8 @@ let run_split_equiv (spec : Wishbone.Spec.t) cut ~label =
   (match !failure with
   | Some _ -> ()
   | None ->
-      let node = Runtime.Splitrun.node_exec split 0 in
-      let server = Runtime.Splitrun.server_exec split in
+      let node = Runtime.Multirun.tier_exec split ~tier:0 0 in
+      let server = Runtime.Multirun.tier_exec split ~tier:1 0 in
       for o = 0 to Graph.n_ops g - 1 do
         let f = Runtime.Exec.op_fires full o in
         let s =
@@ -421,7 +429,7 @@ let run_split_equiv (spec : Wishbone.Spec.t) cut ~label =
             bytes := !bytes + Runtime.Exec.edge_bytes full e.eid
           end)
         (Graph.edges g);
-      let selems, sbytes = Runtime.Splitrun.crossing_traffic split in
+      let selems, sbytes = Runtime.Multirun.link_traffic split 0 in
       if (selems, sbytes) <> (!elems, !bytes) then
         record
           "%s: split runtime crossed (%d elements, %d bytes) but the full \
@@ -472,16 +480,20 @@ let degradation rng (spec : Wishbone.Spec.t) =
       | 1 -> Runtime.Shed.Drop_oldest
       | _ -> Runtime.Shed.Sample_hold (Prng.uniform rng 0.2 0.9)
     in
-    let shed =
+    let link =
       {
-        Runtime.Splitrun.policy;
+        Runtime.Multirun.policy;
         capacity = 1 + Prng.int rng 4;
         service = Prng.int rng 2;
         seed = Int64.to_int (Prng.int64 rng);
       }
     in
     let full = Runtime.Exec.full g in
-    let split = Runtime.Splitrun.create ~shed ~node_of:(fun i -> cut.(i)) g in
+    let split =
+      Runtime.Multirun.create ~links:[ Some link ] ~n_tiers:2
+        ~tier_of:(fun i -> if cut.(i) then 0 else 1)
+        g
+    in
     let full_sinks = ref [] in
     let shed_sinks = ref [] in
     for k = 0 to 11 do
@@ -493,15 +505,17 @@ let degradation rng (spec : Wishbone.Spec.t) =
             List.rev_append fired.Runtime.Exec.sink_values !full_sinks;
           shed_sinks :=
             List.rev_append
-              (Runtime.Splitrun.inject split ~source:src v)
+              (Runtime.Multirun.inject split ~source:src v)
               !shed_sinks)
         sources
     done;
     (* late service: whatever survived the queue is processed now *)
-    shed_sinks := List.rev_append (Runtime.Splitrun.drain split) !shed_sinks;
-    let dropped = Runtime.Splitrun.dropped split in
-    let per_op = Array.fold_left ( + ) 0 (Runtime.Splitrun.drop_counts split) in
-    if Runtime.Splitrun.queued split <> 0 then
+    shed_sinks := List.rev_append (Runtime.Multirun.drain split) !shed_sinks;
+    let dropped = Runtime.Multirun.link_dropped split 0 in
+    let per_op =
+      Array.fold_left ( + ) 0 (Runtime.Multirun.link_drop_counts split 0)
+    in
+    if Runtime.Multirun.link_queued split 0 <> 0 then
       failf "degradation: queue not empty after an unbounded drain"
     else if per_op <> dropped then
       failf
@@ -520,139 +534,12 @@ let degradation rng (spec : Wishbone.Spec.t) =
     else Pass
   end
 
-(* ---- oracle 6: generic placement vs the dedicated solvers ---- *)
+(* ---- oracle 9: tree-topology equivalence ---- *)
 
 (* "solver budget exhausted" is the one Solver_failure that is not a
    bug — the branch & bound hit its node/time budget, so the case is
    inconclusive, like the ilp-brute budget guard *)
 let budget_failure msg = msg = "solver budget exhausted"
-
-let two_tier_placement (spec : Wishbone.Spec.t) =
-  let pl = Wishbone.Placement.of_spec spec in
-  let brute = Wishbone.Partitioner.brute_force spec in
-  match (Wishbone.Placement.solve pl, brute) with
-  | Wishbone.Placement.Solver_failure msg, _ ->
-      if budget_failure msg then Ok ()
-      else Error (Printf.sprintf "two-tier: solver failure: %s" msg)
-  | Wishbone.Placement.No_feasible_partition, None -> Ok ()
-  | Wishbone.Placement.No_feasible_partition, Some (_, b) ->
-      Error
-        (Printf.sprintf
-           "two-tier: placement says infeasible but a cut with objective %g \
-            exists"
-           b)
-  | Wishbone.Placement.Partitioned _, None ->
-      Error "two-tier: placement found a cut but enumeration finds none"
-  | Wishbone.Placement.Partitioned r, Some (_, b) ->
-      let node_side =
-        Array.map (fun tier -> tier = 0) r.Wishbone.Placement.tier_of
-      in
-      let tol = 1e-5 *. (1. +. Float.abs b) in
-      if not (Wishbone.Spec.feasible spec ~node_side) then
-        Error "two-tier: placement's assignment is infeasible"
-      else if not (Wishbone.Placement.feasible pl ~tier_of:r.tier_of) then
-        Error "two-tier: Placement.feasible rejects its own solution"
-      else begin
-        let obj = Wishbone.Spec.objective_value spec ~node_side in
-        let cpu, net = Wishbone.Placement.stats pl ~tier_of:r.tier_of in
-        let gobj = Wishbone.Placement.objective_value pl ~tier_of:r.tier_of in
-        if Float.abs (obj -. b) > tol then
-          Error
-            (Printf.sprintf
-               "two-tier: placement objective %g but enumeration's optimum \
-                is %g"
-               obj b)
-        else if Float.abs (r.objective -. gobj) > tol then
-          Error
-            (Printf.sprintf
-               "two-tier: report objective %g but the assignment evaluates \
-                to %g"
-               r.objective gobj)
-        else if
-          Float.abs (cpu.(0) -. r.tier_cpu.(0)) > tol
-          || Float.abs (net.(0) -. r.link_net.(0)) > tol
-        then
-          Error
-            (Printf.sprintf
-               "two-tier: report says (cpu %g, net %g) but stats say (%g, %g)"
-               r.tier_cpu.(0) r.link_net.(0) cpu.(0) net.(0))
-        else Ok ()
-      end
-
-let three_tier_placement rng (spec : Wishbone.Spec.t) =
-  (* synthesize a microserver tier: cheaper per-op CPU than the mote,
-     randomly budgeted middle resources, a randomly weighted uplink *)
-  let micro_cpu =
-    Array.map (fun c -> c *. Prng.uniform rng 0.05 0.6) spec.cpu
-  in
-  let micro_total = Array.fold_left ( +. ) 0. micro_cpu in
-  let micro_cpu_budget =
-    if Prng.bool rng 0.5 then infinity
-    else Prng.uniform rng 0.3 1.2 *. Float.max 1e-6 micro_total
-  in
-  let total_bw = Array.fold_left ( +. ) 0. spec.bandwidth in
-  let micro_net_budget =
-    if Prng.bool rng 0.5 then infinity
-    else Prng.uniform rng 0.3 1.2 *. Float.max 1e-6 total_bw
-  in
-  let beta_micro = Prng.uniform rng 0.05 1.0 in
-  let tt =
-    Wishbone.Three_tier.of_spec ~micro_cpu_budget ~micro_net_budget
-      ~beta_micro ~micro_cpu spec
-  in
-  match (Wishbone.Three_tier.solve tt, Wishbone.Three_tier.brute_force tt) with
-  | Wishbone.Three_tier.Solver_failure msg, _ ->
-      if budget_failure msg then Ok ()
-      else Error (Printf.sprintf "three-tier: solver failure: %s" msg)
-  | Wishbone.Three_tier.No_feasible_partition, None -> Ok ()
-  | Wishbone.Three_tier.No_feasible_partition, Some (_, b) ->
-      Error
-        (Printf.sprintf
-           "three-tier: placement says infeasible but an assignment with \
-            objective %g exists"
-           b)
-  | Wishbone.Three_tier.Partitioned _, None ->
-      Error "three-tier: placement found an assignment, enumeration none"
-  | Wishbone.Three_tier.Partitioned r, Some (_, b) ->
-      let tol = 1e-5 *. (1. +. Float.abs b) in
-      let rank = function
-        | Wishbone.Three_tier.Mote -> 2
-        | Wishbone.Three_tier.Microserver -> 1
-        | Wishbone.Three_tier.Central -> 0
-      in
-      let non_monotone =
-        Array.exists
-          (fun (e : Graph.edge) ->
-            rank r.tiers.(e.src) < rank r.tiers.(e.dst))
-          (Graph.edges spec.graph)
-      in
-      if non_monotone then
-        Error "three-tier: returned tiers ascend along an edge"
-      else if Float.abs (r.objective -. b) > tol then
-        Error
-          (Printf.sprintf
-             "three-tier: placement objective %g but enumeration's optimum \
-              is %g"
-             r.objective b)
-      else Ok ()
-
-let placement_equivalence rng (spec : Wishbone.Spec.t) =
-  let n_movable =
-    Array.fold_left
-      (fun acc p -> if p = Wishbone.Movable.Movable then acc + 1 else acc)
-      0 spec.placement
-  in
-  let c = Wishbone.Preprocess.contract spec in
-  if n_movable > 16 || c.Wishbone.Preprocess.n_super > 12 then Pass
-  else
-    match two_tier_placement spec with
-    | Error msg -> Fail msg
-    | Ok () -> (
-        match three_tier_placement rng spec with
-        | Error msg -> Fail msg
-        | Ok () -> Pass)
-
-(* ---- oracle 9: tree-topology equivalence ---- *)
 
 (* Independent evaluation of a tier assignment on a tree instance:
    monotonicity, per-tier CPU, per-tree-edge network and the
@@ -746,10 +633,10 @@ let tree_eval (pl : Wishbone.Placement.t) ~monotone tier_of =
     link_net;
   (pin_ok && monotone_ok && cpu_ok && net_ok, !obj)
 
-(* Brute-force optimum over per-supernode tiers, enumerating the same
-   contraction [Placement.solve] uses (Three_tier.brute_force's
-   precedent), judged by [tree_eval] only.  [None] = no feasible
-   assignment. *)
+(* Brute-force optimum over per-supernode tiers, enumerating the
+   contraction [Placement.solve] uses when [contracted] (every operator
+   on its own otherwise), judged by [tree_eval] only.  [None] = no
+   feasible assignment. *)
 let tree_brute_force (pl : Wishbone.Placement.t) ~contracted ~monotone =
   let n_tiers = Array.length pl.Wishbone.Placement.tiers in
   let root = n_tiers - 1 in
@@ -811,12 +698,16 @@ let tree_equivalence rng (spec : Wishbone.Spec.t) =
       0 spec.placement
   in
   let c = Wishbone.Preprocess.contract spec in
-  if n_movable > 7 || c.Wishbone.Preprocess.n_super > 10 then Pass
+  (* random rooted tree, 2..5 tiers: two tiers is the classic cut,
+     whose 2^n enumeration affords larger instances *)
+  let n_tiers = 2 + Prng.int rng 4 in
+  let max_movable, max_super = if n_tiers = 2 then (16, 12) else (7, 10) in
+  if n_movable > max_movable || c.Wishbone.Preprocess.n_super > max_super
+  then Pass
   else begin
     let module P = Wishbone.Placement in
     let n = Array.length spec.cpu in
-    (* random rooted tree, 3..5 tiers, topological parent numbering *)
-    let n_tiers = 3 + Prng.int rng 3 in
+    (* topological parent numbering *)
     let parents =
       Array.init n_tiers (fun k ->
           if k = n_tiers - 1 then -1 else 0)
@@ -1175,8 +1066,9 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
               Pass
           | Wishbone.Service.Rate r -> (
               match
-                Wishbone.Partitioner.brute_force
-                  (Wishbone.Spec.scale_rate spec r)
+                tree_brute_force
+                  (Wishbone.Placement.scale_rate pl r)
+                  ~contracted:false ~monotone:true
               with
               | None -> Pass
               | Some (_, b) ->
@@ -1217,8 +1109,9 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
                 Pass
             | Wishbone.Service.Rate _ -> (
                 match
-                  Wishbone.Partitioner.brute_force
-                    (Wishbone.Spec.scale_rate spec r)
+                  tree_brute_force
+                    (Wishbone.Placement.scale_rate pl r)
+                    ~contracted:false ~monotone:true
                 with
                 | None ->
                     failf
@@ -1245,9 +1138,9 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
 let split_equivalence rng (spec : Wishbone.Spec.t) =
   let cuts = [ ("random cut", Gen.random_cut rng spec) ] in
   let cuts =
-    match Wishbone.Partitioner.solve spec with
-    | Wishbone.Partitioner.Partitioned rep ->
-        cuts @ [ ("solver cut", rep.assignment) ]
+    match Wishbone.Placement.solve (Wishbone.Placement.of_spec spec) with
+    | Wishbone.Placement.Partitioned rep ->
+        cuts @ [ ("solver cut", Array.map (fun t -> t = 0) rep.tier_of) ]
     | _ -> cuts
   in
   let rec run = function

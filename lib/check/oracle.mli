@@ -31,20 +31,21 @@ val ilp_brute : Lp.Problem.t -> outcome
     {!Lp.Brute.optimal_points}.  Inconclusive solver budgets pass. *)
 
 val cut_enumeration :
-  ?resources:Wishbone.Ilp.resource list -> Wishbone.Spec.t -> outcome
-(** Run {!Wishbone.Partitioner.solve} under all four configurations
-    ([Restricted]/[General] x preprocessing on/off) and compare each
-    against this module's own exhaustive enumeration of movable
-    assignments filtered by {!Wishbone.Spec.feasible} (and the
-    resource rows, checked directly).  Reported cpu/net/objective
+  ?resources:Wishbone.Placement.resource list -> Wishbone.Spec.t -> outcome
+(** Run {!Wishbone.Placement.solve} on {!Wishbone.Placement.of_spec}
+    under all four configurations ([Restricted]/[General] x
+    preprocessing on/off) and compare each against an exhaustive
+    enumeration of movable assignments filtered by
+    {!Wishbone.Spec.feasible} (and the resource rows, checked
+    directly).  The report's tier-0 cpu, link-0 net and objective
     must match {!Wishbone.Spec.cut_stats} on the returned assignment,
     and the general optimum can never be worse than the restricted
     one.  Specs with more than 16 movable operators pass trivially. *)
 
 val degradation : Prng.t -> Wishbone.Spec.t -> outcome
 (** Execute the same injected samples through {!Runtime.Exec.full} and
-    through a {!Runtime.Splitrun} with a bounded, shedding inter-half
-    queue (random policy, capacity and service rate) along a random
+    through a two-tier {!Runtime.Multirun} with a bounded, shedding
+    inter-half queue (random policy, capacity and service rate) along a random
     predecessor-closed cut.  Loss must be {e subtractive, never
     corrupting}: the shedding run's sink values must form a
     sub-multiset of the lossless run's, the per-operator drop counters
@@ -52,22 +53,6 @@ val degradation : Prng.t -> Wishbone.Spec.t -> outcome
     the two runs must agree exactly.  Instances that place a stateful
     operator downstream of the queue (outside conservative placement's
     guarantee) pass trivially. *)
-
-val placement_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
-(** The generic {!Wishbone.Placement} core against the dedicated
-    solvers' independent enumerations.  Two-tier:
-    [Placement.solve (Placement.of_spec spec)] must agree with
-    {!Wishbone.Partitioner.brute_force} on feasibility and optimal
-    objective, its report must be internally consistent with
-    {!Wishbone.Placement.stats}/[objective_value], and
-    {!Wishbone.Placement.feasible} must accept the solution.
-    Three-tier: a randomly synthesized microserver tier (cheaper
-    per-op CPU, random budgets and uplink weight) solved through
-    {!Wishbone.Three_tier} (hence {!Wishbone.Placement}) must agree
-    with {!Wishbone.Three_tier.brute_force} and return monotonically
-    descending tiers.  Instances with more than 16 movable operators
-    or 12 supernodes pass trivially, as do solves that exhaust the
-    branch-and-bound budget. *)
 
 val service_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
 (** The fleet placement service against the direct solve path.  A
@@ -95,18 +80,34 @@ val degraded_soundness : Prng.t -> Wishbone.Spec.t -> outcome
     {!Wishbone.Placement.feasible} at its rate, its gap must equal the
     bound arithmetic bit-for-bit and be non-negative, and on these
     small instances the brute-force optimum must lie inside the
-    certified interval [[best_bound, objective]].  A [Placed] answer
-    must carry an optimality proof; a fixed-rate [Infeasible] must
-    agree with enumeration (a search [Infeasible] under budget is
+    certified interval [[best_bound, objective]] ({!tree_brute_force}
+    on the rate-scaled instance).  A [Placed] answer must carry an
+    optimality proof; a fixed-rate [Infeasible] must agree with
+    enumeration (a search [Infeasible] under budget is
     conservative and passes).  Independently, a huge-but-finite pivot
     budget must reproduce the unbudgeted default path byte for byte.
     [Failed] (budget exhausted, no incumbent) is inconclusive.  Specs
     with more than 16 movable operators pass trivially. *)
 
+val tree_brute_force :
+  Wishbone.Placement.t ->
+  contracted:bool ->
+  monotone:bool ->
+  (int array * float) option
+(** The placement brute force every oracle and test checks
+    {!Wishbone.Placement.solve} against: enumerate every tier for
+    every supernode of {!Wishbone.Preprocess.contract} (when
+    [contracted]) or of every operator (otherwise), judge each
+    assignment by an independent root-path-walk evaluation of pins,
+    budgets, monotone descent (when [monotone]) and the objective,
+    and return the best per-operator tiers with their objective.
+    [None] when no assignment is feasible.  Exponential: callers cap
+    the instance size. *)
+
 val tree_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
-(** The tree-topology placement core against a brute-force enumerator
-    over per-path cuts.  A random rooted tier tree (3–5 tiers,
-    topological parent numbering), random middle platforms (cheaper
+(** The tree-topology placement core against {!tree_brute_force}.  A
+    random rooted tier tree (2–5 tiers, topological parent numbering;
+    two tiers is the classic node/server cut), random middle platforms (cheaper
     per-op CPU, random budgets), per-uplink budgets/weights, and an
     occasional tier pin are built over the spec; [Placement.solve]
     under both encodings must agree on feasibility and optimal
@@ -119,14 +120,15 @@ val tree_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     3-tier chain built with an explicit [Topology.of_parents]
     [[|1;2;-1|]] must encode the {e identical} ILP (variables, rows,
     names, objective) as the implicit-chain constructor.  Specs with
-    more than 7 movable operators or 10 supernodes pass trivially, as
-    do solves that exhaust the branch-and-bound budget. *)
+    more than 7 movable operators or 10 supernodes (16 and 12 for a
+    two-tier draw) pass trivially, as do solves that exhaust the
+    branch-and-bound budget. *)
 
 val split_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
 (** Execute the same injected samples through {!Runtime.Exec.full} and
-    through {!Runtime.Splitrun} split along a random
-    predecessor-closed cut (plus, when the partitioner finds one, its
-    own restricted-encoding cut): sink deliveries must match as
+    through a two-tier {!Runtime.Multirun} split along a random
+    predecessor-closed cut (plus, when {!Wishbone.Placement.solve}
+    finds one, its own restricted-encoding cut): sink deliveries must match as
     multisets per injection, every operator must fire the same number
     of times, and the split runtime's crossing traffic must equal the
     full run's traffic over the cut edges. *)

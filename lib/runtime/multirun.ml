@@ -193,6 +193,8 @@ let inject ?(node = 0) t ~source value =
      [n_nodes] replicas, deeper tiers (e.g. another leaf of a tier
      tree) have a single engine *)
   let tier = t.tier_of.(source) in
+  if tier = t.n_tiers - 1 then
+    invalid_arg "Multirun.inject: source operator is on the root tier";
   if node < 0 || node >= Array.length t.execs.(tier) then
     invalid_arg "Multirun.inject: bad node id";
   let fired = Exec.fire t.execs.(tier).(node) ~op:source ~port:0 value in

@@ -19,11 +19,17 @@
     lossless links, and parked in the first bounded channel on its way
     (service then moves it onwards).  Channels are serviced in
     ascending link order — every tier's parent has a larger index, so
-    data drains leaf-most first, matching the two-tier runtime exactly
-    on chains.
+    data drains leaf-most first.
 
-    {!Splitrun} is the two-tier instance of this engine and keeps its
-    historical behaviour bit-for-bit (pinned by regression tests). *)
+    With [n_tiers = 2] this is the paper's split node/server runtime:
+    tier 0 the node, tier 1 the server, link 0 the radio.  By default
+    the channel is perfect — the invariant behind Wishbone's freedom
+    to move stateless operators (§2.1.1).  A bounded link emulates the
+    overloaded-node semantics of §6 instead: loss is subtractive (a
+    shedding run's sink outputs are a sub-multiset of the lossless
+    run's, the [degradation] fuzz oracle) provided no stateful operator
+    sits downstream of the channel, which conservative-mode placement
+    guarantees. *)
 
 type link_config = {
   policy : Shed.policy;
@@ -59,12 +65,14 @@ val reset : t -> unit
 val inject :
   ?node:int -> t -> source:int -> Dataflow.Value.t -> Dataflow.Value.t list
 (** Push one sensor sample into [source] on the given node (default
-    0).  Tier-0 sources address one of the [n_nodes] replicas; sources
-    on a deeper tier (another leaf of a tier tree) have a single
-    engine, so [node] must be 0.  Crossings are routed as described
-    above; each bounded channel then services up to its [service]
-    quota.  Returns the values that reached sink operators, in
-    order. *)
+    0).  Sources live on non-root tiers: tier-0 sources address one
+    of the [n_nodes] replicas; sources on a deeper tier (another leaf
+    of a tier tree) have a single engine, so [node] must be 0.
+    Crossings are routed as described above; each bounded channel
+    then services up to its [service] quota.  Returns the values that
+    reached sink operators, in order.
+    @raise Invalid_argument when [source] sits on the root tier or
+    [node] names no replica of its tier. *)
 
 val drain : ?limit:int -> t -> Dataflow.Value.t list
 (** Service up to [limit] parked crossings (default: all), ascending

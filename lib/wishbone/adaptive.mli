@@ -14,8 +14,8 @@
     time, now driven by measured instead of predicted feasibility —
     and/or re-solves the partition with the {e measured} edge rates
     ({!Netsim.Testbed.result.edge_bytes_per_sec}), warm-starting the
-    ILP from the previous solve's root basis.  (Re-solves go through
-    {!Partitioner} and hence the generic {!Placement} core.)  Every
+    ILP from the previous solve's root basis.  (Re-solves are
+    two-tier {!Placement.of_spec} instances.)  Every
     step is recorded in a decision trace for inspection.
 
     The controller is environment-agnostic: it only sees the [probe]

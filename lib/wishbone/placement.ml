@@ -160,6 +160,32 @@ let of_spec (spec : Spec.t) =
     tier_pins = Array.make n None;
   }
 
+let of_platforms (spec : Spec.t) raw middles =
+  let base = of_spec spec in
+  let middle (p : Profiler.Platform.t) =
+    {
+      tname = p.name;
+      cpu = (Profiler.Profile.cost raw p).Profiler.Profile.cpu_fraction;
+      cpu_budget = p.cpu_budget;
+      alpha = 0.;
+    }
+  in
+  (* link k+1 leaves middle k on its own radio; the per-byte weight
+     falls off by 0.3 per hop, upstream radio bytes being the scarce
+     resource *)
+  let uplink i (p : Profiler.Platform.t) =
+    {
+      lname = Printf.sprintf "uplink%d" (i + 1);
+      net_budget = p.radio_bytes_per_sec;
+      beta = spec.Spec.beta *. (0.3 ** Float.of_int (i + 1));
+    }
+  in
+  v ~spec
+    ~tiers:((base.tiers.(0) :: List.map middle middles) @ [ base.tiers.(1) ])
+    ~links:
+      ({ (base.links.(0)) with lname = "radio0" } :: List.mapi uplink middles)
+    ()
+
 let n_tiers t = Array.length t.tiers
 
 let scale_rate t factor =
@@ -405,10 +431,9 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
   List.iter
     (fun r ->
       if Array.length r.per_op <> n_orig then
-        (* the historical message: callers reach this through the
-           [Ilp.encode] facade and its tests pin the string *)
         invalid_arg
-          (Printf.sprintf "Ilp.encode: resource %s has wrong length" r.rname);
+          (Printf.sprintf "Placement.encode: resource %s has wrong length"
+             r.rname);
       let terms =
         Array.to_list
           (Array.mapi
@@ -655,6 +680,10 @@ let solve ?(encoding = Restricted) ?(preprocess = true) ?options
       Solver_failure "partitioning ILP unbounded (bad cost data?)"
   | Lp.Solution.Iteration_limit -> Solver_failure "solver budget exhausted"
 
+let tier_ops r tier =
+  List.filter (fun i -> r.tier_of.(i) = tier)
+    (List.init (Array.length r.tier_of) Fun.id)
+
 let pp_report graph t ppf r =
   let counts = Array.make (Array.length t.tiers) 0 in
   Array.iter (fun tp -> counts.(tp) <- counts.(tp) + 1) r.tier_of;
@@ -683,13 +712,9 @@ let pp_report graph t ppf r =
        (Array.to_list
           (Array.mapi
              (fun tp (tier : tier) ->
-               let ops =
-                 List.filteri (fun i _ -> r.tier_of.(i) = tp)
-                   (List.init (Array.length r.tier_of) Fun.id)
-               in
                Printf.sprintf "%s=%s" tier.tname
                  (String.concat ","
                     (List.map
                        (fun i -> (Graph.op graph i).Op.name)
-                       ops)))
+                       (tier_ops r tp))))
              t.tiers)))

@@ -8,10 +8,12 @@
     with a CPU budget, and each non-root tier has an {e uplink} with
     its own bandwidth budget and per-byte objective weight.  The
     historical tier {e chain} is the single-child degenerate case and
-    stays byte-identical through this encoder.  Two-way partitioning
-    ({!Partitioner}), three-tier placement ({!Three_tier}) and mixed
-    networks ({!Mixed}) are all instances of {!solve}; none of them
-    encodes costs or crossings itself.
+    stays byte-identical through this encoder.  It is the only
+    placement API: the paper's node/server cut is {!solve} on
+    {!of_spec}, a three-tier mote/microserver/server deployment a
+    three-tier {!v}, and a mixed network one solve per node class.
+    Its two-tier view reads tier 0 as the node: [tier_of.(i) = 0],
+    [tier_cpu.(0)] and [link_net.(0)] of a {!report}.
 
     The encoding generalises the paper's two formulations with {e
     subtree-membership} variables: each supernode [s] carries binaries
@@ -25,7 +27,7 @@
     edge exactly when [d_k] differs across it — one network row {e per
     tree edge} (DESIGN.md §18).  With [P = 2] this is byte-for-byte
     the §4.2.1 ILP ([d_0 = f]); with a 3-chain it is the two-level
-    [x <= y] encoding of {!Three_tier}. *)
+    [x <= y] encoding of the §9 three-tier sketch. *)
 
 (** {!General} is the bidirectional eqs. (1)–(5) formulation (two
     continuous crossing variables per edge and link); {!Restricted}
@@ -136,7 +138,19 @@ val of_spec : Spec.t -> t
 (** The classic two-way instance: tier 0 is the node (the spec's CPU
     costs, budget and [alpha]), tier 1 an unbudgeted server, and the
     single link carries the spec's network budget and [beta].
-    [solve (of_spec spec)] is exactly {!Partitioner.solve}'s ILP. *)
+    [solve (of_spec spec)] is the paper's §4.2.1 ILP, and its report's
+    tier-0 CPU, link-0 bandwidth and objective equal
+    {!Spec.cut_stats}/{!Spec.objective_value} on the node side. *)
+
+val of_platforms :
+  Spec.t -> Profiler.Profile.raw -> Profiler.Platform.t list -> t
+(** [of_platforms spec raw middles]: the chain [node - middles - server].
+    Tier 0 is {!of_spec}'s node, each middle platform a tier costed
+    from [raw] with its own CPU budget (objective weight 0), and the
+    root {!of_spec}'s unbudgeted server.  Link 0 is the spec's radio
+    (its network budget and [beta]); link [k] leaves the [k]'th middle
+    on that platform's radio with weight [beta * 0.3^k].  With one
+    middle platform this is the §9 three-tier sketch. *)
 
 val n_tiers : t -> int
 
@@ -163,9 +177,9 @@ val encode :
     ([k]-major, supernode-minor), then per-supernode level ordering,
     budgeted tier CPU rows, per-edge rows (crossing variables created
     in place under [General]), link bandwidth rows, resource rows.
-    With two tiers this reproduces the historical {!Ilp.encode}
-    problem exactly — same variables, same constraints, same
-    objective, in the same order.
+    With two tiers this is the §4.2.1 problem: one binary per
+    supernode ([d_0 = f]) plus, under [General], the two crossing
+    variables per edge.
     @raise Invalid_argument when a resource array has the wrong
     length. *)
 
@@ -241,5 +255,9 @@ val solve :
     encodings run on the sparse revised simplex and small ones on the
     dense tableau, and any [workers] count returns the same partition
     (deterministic waves, see DESIGN.md §14). *)
+
+val tier_ops : report -> int -> int list
+(** [tier_ops r tier]: the original operator ids placed on [tier],
+    ascending ([tier_ops r 0] are the node-side operators). *)
 
 val pp_report : Dataflow.Graph.t -> t -> Format.formatter -> report -> unit

@@ -1,5 +1,5 @@
-(* §9 extensions: in-network aggregation, mixed networks, three-tier
-   partitioning. *)
+(* §9 extensions: in-network aggregation and three-tier partitioning
+   (a three-tier Placement instance). *)
 
 open Dataflow
 open Wishbone
@@ -86,186 +86,97 @@ let test_aggregation_changes_partition () =
       let cpu = Array.copy spec.Spec.cpu in
       cpu.(reduce) <- 0.3;
       let spec = { spec with Spec.cpu } in
-      let in_network = Partitioner.solve spec in
+      let solve spec = Placement.solve (Placement.of_spec spec) in
+      let in_network = solve spec in
       let overloaded =
-        Partitioner.solve (Aggregation.annotate_fan_in spec ~op:reduce ~fan_in:5.)
+        solve (Aggregation.annotate_fan_in spec ~op:reduce ~fan_in:5.)
       in
       match (in_network, overloaded) with
-      | Partitioner.Partitioned a, Partitioner.Partitioned b ->
+      | Placement.Partitioned a, Placement.Partitioned b ->
           Alcotest.(check bool) "cheap reduce runs in-network" true
-            a.assignment.(reduce);
+            (a.tier_of.(reduce) = 0);
           Alcotest.(check bool) "overloaded reduce moves to the server" true
-            (not b.assignment.(reduce))
+            (b.tier_of.(reduce) = 1)
       | _ -> Alcotest.fail "partitioning failed")
 
-let test_mixed_network_plans () =
+(* The §9 three-tier sketch over speech at 8% of its native rate (where
+   the mote tier can run the front end): TMote motes feed Meraki
+   microservers, which feed an unbudgeted central server.  Mote radio
+   bytes weigh 1 and microserver uplink bytes 0.3. *)
+let three_tier_of_speech ~micro_net_budget =
   let speech = Apps.Speech.build () in
   let raw = Apps.Speech.profile ~duration:10. speech in
-  match
-    Mixed.plan raw
-      ~classes:
-        [
-          { Mixed.platform = Profiler.Platform.tmote_sky; n_nodes = 10;
-            net_share = None };
-          { Mixed.platform = Profiler.Platform.meraki; n_nodes = 1;
-            net_share = None };
-        ]
-  with
+  let raw = Profiler.Profile.scale_rate raw 0.08 in
+  match Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw with
   | Error m -> Alcotest.fail m
-  | Ok plans ->
-      Alcotest.(check int) "one plan per class" 2 (List.length plans);
-      let by name =
-        List.find
-          (fun p -> p.Mixed.platform.Profiler.Platform.name = name)
-          plans
-      in
-      let tmote_ops =
-        List.length (Partitioner.node_ops (by "tmote").Mixed.report)
-      in
-      let meraki_ops =
-        List.length (Partitioner.node_ops (by "meraki").Mixed.report)
-      in
-      (* the classes end up with different physical partitions *)
-      Alcotest.(check bool)
-        (Printf.sprintf "different cuts (tmote %d vs meraki %d)" tmote_ops
-           meraki_ops)
-        true
-        (tmote_ops <> meraki_ops)
+  | Ok spec ->
+      let pl = Placement.of_platforms spec raw [ Profiler.Platform.meraki ] in
+      let uplink = { (pl.links.(1)) with net_budget = micro_net_budget } in
+      (speech, { pl with links = [| pl.links.(0); uplink |] })
+
+let meraki_radio = Profiler.Platform.meraki.radio_bytes_per_sec
 
 let test_three_tier_pipeline () =
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  (* at 8% of the native rate the mote tier can run the front end *)
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
-  match
-    Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-      ~micro:Profiler.Platform.meraki raw
-  with
-  | Error m -> Alcotest.fail m
-  | Ok t -> (
-      match Three_tier.solve t with
-      | Three_tier.Partitioned r ->
-          let motes, micros, central = Three_tier.tier_counts r in
-          Alcotest.(check int) "all ops placed" 9 (motes + micros + central);
-          (* source on the mote, sink central *)
-          Alcotest.(check bool) "source on mote" true
-            (r.tiers.(speech.Apps.Speech.source) = Three_tier.Mote);
-          let sink = (Dataflow.Graph.sinks speech.Apps.Speech.graph) |> List.hd in
-          Alcotest.(check bool) "sink central" true
-            (r.tiers.(sink) = Three_tier.Central);
-          (* tiers descend monotonically along the pipeline *)
-          let rank = function
-            | Three_tier.Mote -> 2
-            | Three_tier.Microserver -> 1
-            | Three_tier.Central -> 0
-          in
-          Array.iter
-            (fun (e : Graph.edge) ->
-              Alcotest.(check bool) "monotone descent" true
-                (rank r.tiers.(e.src) >= rank r.tiers.(e.dst)))
-            (Graph.edges speech.Apps.Speech.graph);
-          (* budget respected on the mote radio *)
-          Alcotest.(check bool) "mote net within budget" true
-            (r.mote_net
-            <= Profiler.Platform.tmote_sky.Profiler.Platform
-               .radio_bytes_per_sec
-               +. 1e-6)
-      | Three_tier.No_feasible_partition ->
-          Alcotest.fail "expected a three-tier partition"
-      | Three_tier.Solver_failure m -> Alcotest.fail m)
+  let speech, pl = three_tier_of_speech ~micro_net_budget:meraki_radio in
+  match Placement.solve pl with
+  | Placement.Partitioned r ->
+      Alcotest.(check int) "all ops placed" 9
+        (List.length (List.concat_map (Placement.tier_ops r) [ 0; 1; 2 ]));
+      (* source on the mote, sink central *)
+      Alcotest.(check int) "source on mote" 0
+        r.tier_of.(speech.Apps.Speech.source);
+      let sink = List.hd (Graph.sinks speech.Apps.Speech.graph) in
+      Alcotest.(check int) "sink central" 2 r.tier_of.(sink);
+      (* tiers descend monotonically along the pipeline *)
+      Array.iter
+        (fun (e : Graph.edge) ->
+          Alcotest.(check bool) "monotone descent" true
+            (r.tier_of.(e.src) <= r.tier_of.(e.dst)))
+        (Graph.edges speech.Apps.Speech.graph);
+      (* budget respected on the mote radio *)
+      Alcotest.(check bool) "mote net within budget" true
+        (r.link_net.(0)
+        <= Profiler.Platform.tmote_sky.Profiler.Platform.radio_bytes_per_sec
+           +. 1e-6)
+  | Placement.No_feasible_partition ->
+      Alcotest.fail "expected a three-tier partition"
+  | Placement.Solver_failure m -> Alcotest.fail m
 
 let test_three_tier_uses_middle () =
   (* when the mote cannot afford a stage but the microserver can, the
-     middle tier must actually be used *)
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
+     middle tier must actually be used; a tight uplink pushes work
+     into the middle *)
+  let _, pl = three_tier_of_speech ~micro_net_budget:300. in
+  match Placement.solve pl with
+  | Placement.Partitioned r ->
+      Alcotest.(check bool) "microserver tier non-empty" true
+        (Placement.tier_ops r 1 <> [])
+  | Placement.No_feasible_partition -> Alcotest.fail "expected a partition"
+  | Placement.Solver_failure m -> Alcotest.fail m
+
+let check_three_tier_matches_brute ~micro_net_budget =
+  let _, pl = three_tier_of_speech ~micro_net_budget in
   match
-    Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-      ~micro:Profiler.Platform.meraki
-      ~micro_net_budget:300.  (* tight uplink: push work into the middle *)
-      raw
+    ( Placement.solve pl,
+      Check.Oracle.tree_brute_force pl ~contracted:true ~monotone:true )
   with
-  | Error m -> Alcotest.fail m
-  | Ok t -> (
-      match Three_tier.solve t with
-      | Three_tier.Partitioned r ->
-          let _, micros, _ = Three_tier.tier_counts r in
-          Alcotest.(check bool) "microserver tier non-empty" true (micros > 0)
-      | Three_tier.No_feasible_partition ->
-          Alcotest.fail "expected a partition"
-      | Three_tier.Solver_failure m -> Alcotest.fail m)
-
-let test_mixed_matches_brute_force () =
-  (* every per-class ILP answer must equal exhaustive search over the
-     class's reconstructed spec *)
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  let raw = Profiler.Profile.scale_rate raw 0.05 in
-  let classes =
-    [
-      { Mixed.platform = Profiler.Platform.tmote_sky; n_nodes = 4;
-        net_share = Some 1e7 };
-      { Mixed.platform = Profiler.Platform.meraki; n_nodes = 1;
-        net_share = Some 1e7 };
-    ]
-  in
-  match Mixed.plan raw ~classes with
-  | Error m -> Alcotest.fail m
-  | Ok plans ->
-      List.iter
-        (fun (p : Mixed.class_plan) ->
-          (* reconstruct the spec exactly as Mixed.plan does *)
-          match
-            Spec.of_profile ~net_budget:1e7
-              ~node_platform:p.Mixed.platform raw
-          with
-          | Error m -> Alcotest.fail m
-          | Ok spec -> (
-              Alcotest.(check bool)
-                (p.Mixed.platform.Profiler.Platform.name ^ " at rate 1")
-                true
-                (p.Mixed.report.Partitioner.solver.Lp.Branch_bound
-                   .proved_optimal);
-              match Partitioner.brute_force spec with
-              | None -> Alcotest.fail "brute force found no feasible cut"
-              | Some (_, best) ->
-                  Alcotest.(check (float 1e-6))
-                    (p.Mixed.platform.Profiler.Platform.name
-                    ^ " objective = brute force")
-                    best p.Mixed.report.Partitioner.objective))
-        plans
-
-let three_tier_of_speech ?micro_net_budget () =
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
-  Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-    ~micro:Profiler.Platform.meraki ?micro_net_budget raw
-
-let check_three_tier_matches_brute t =
-  match (Three_tier.solve t, Three_tier.brute_force t) with
-  | Three_tier.Partitioned r, Some (tiers, best) ->
+  | Placement.Partitioned r, Some (tiers, best) ->
       Alcotest.(check (float 1e-6)) "objective = brute force" best
-        r.Three_tier.objective;
+        r.objective;
       Alcotest.(check int) "same tier count" (Array.length tiers)
-        (Array.length r.Three_tier.tiers)
-  | Three_tier.Partitioned _, None ->
+        (Array.length r.tier_of)
+  | Placement.Partitioned _, None ->
       Alcotest.fail "ILP found a partition but brute force did not"
-  | Three_tier.No_feasible_partition, Some _ ->
+  | Placement.No_feasible_partition, Some _ ->
       Alcotest.fail "brute force found a partition but the ILP did not"
-  | Three_tier.No_feasible_partition, None -> ()
-  | Three_tier.Solver_failure m, _ -> Alcotest.fail m
+  | Placement.No_feasible_partition, None -> ()
+  | Placement.Solver_failure m, _ -> Alcotest.fail m
 
 let test_three_tier_matches_brute_force () =
-  match three_tier_of_speech () with
-  | Error m -> Alcotest.fail m
-  | Ok t -> check_three_tier_matches_brute t
+  check_three_tier_matches_brute ~micro_net_budget:meraki_radio
 
 let test_three_tier_matches_brute_force_tight () =
-  match three_tier_of_speech ~micro_net_budget:300. () with
-  | Error m -> Alcotest.fail m
-  | Ok t -> check_three_tier_matches_brute t
+  check_three_tier_matches_brute ~micro_net_budget:300.
 
 let () =
   (* the pivot counter is process-wide; start every suite from a
@@ -280,11 +191,6 @@ let () =
           tc "windowed reduce" test_reduce_op_windows;
           tc "fan-in cost annotation" test_aggregation_cost_annotation;
           tc "fan-in changes the partition" test_aggregation_changes_partition;
-        ] );
-      ( "mixed",
-        [
-          tc "per-class plans" test_mixed_network_plans;
-          tc "matches brute force" test_mixed_matches_brute_force;
         ] );
       ( "three_tier",
         [

@@ -419,45 +419,50 @@ let pipeline_app () =
   Builder.sink b ~name:"k" doubled;
   (Builder.build b, Builder.op_id s)
 
-let test_splitrun_sheds_and_accounts () =
+(* a two-tier Multirun (source on the node, the rest on the server)
+   whose radio link is a drop-newest channel *)
+let shedding_split graph src ~capacity ~service =
+  Runtime.Multirun.create
+    ~links:
+      [ Some { Runtime.Multirun.policy = Runtime.Shed.Drop_newest; capacity;
+               service; seed = 0 } ]
+    ~n_tiers:2
+    ~tier_of:(fun i -> if i = src then 0 else 1)
+    graph
+
+let test_split_sheds_and_accounts () =
   let graph, src = pipeline_app () in
-  let shed =
-    { Runtime.Splitrun.default_shed with
-      Runtime.Splitrun.capacity = 1; service = 0 }
-  in
-  let t = Runtime.Splitrun.create ~shed ~node_of:(fun i -> i = src) graph in
+  let t = shedding_split graph src ~capacity:1 ~service:0 in
   for i = 1 to 5 do
-    let out = Runtime.Splitrun.inject t ~source:src (Value.Int i) in
+    let out = Runtime.Multirun.inject t ~source:src (Value.Int i) in
     Alcotest.(check int)
       (Printf.sprintf "service=0: nothing emitted on inject %d" i)
       0 (List.length out)
   done;
   Alcotest.(check int) "queue holds one crossing" 1
-    (Runtime.Splitrun.queued t);
-  Alcotest.(check int) "four crossings shed" 4 (Runtime.Splitrun.dropped t);
+    (Runtime.Multirun.link_queued t 0);
+  Alcotest.(check int) "four crossings shed" 4
+    (Runtime.Multirun.link_dropped t 0);
   Alcotest.(check int) "drops attributed to the source op" 4
-    (Runtime.Splitrun.drop_counts t).(src);
-  let out = Runtime.Splitrun.drain t in
+    (Runtime.Multirun.link_drop_counts t 0).(src);
+  let out = Runtime.Multirun.drain t in
   Alcotest.(check (list int)) "drop-newest kept the first value" [ 2 ]
     (List.map as_int out);
-  Alcotest.(check int) "queue empty after drain" 0 (Runtime.Splitrun.queued t)
+  Alcotest.(check int) "queue empty after drain" 0
+    (Runtime.Multirun.link_queued t 0)
 
-let test_splitrun_lossless_when_capacity_suffices () =
+let test_split_lossless_when_capacity_suffices () =
   let graph, src = pipeline_app () in
-  let shed =
-    { Runtime.Splitrun.default_shed with
-      Runtime.Splitrun.capacity = 16; service = 1 }
-  in
-  let t = Runtime.Splitrun.create ~shed ~node_of:(fun i -> i = src) graph in
+  let t = shedding_split graph src ~capacity:16 ~service:1 in
   let outs = ref [] in
   for i = 1 to 5 do
-    outs := !outs @ Runtime.Splitrun.inject t ~source:src (Value.Int i)
+    outs := !outs @ Runtime.Multirun.inject t ~source:src (Value.Int i)
   done;
-  outs := !outs @ Runtime.Splitrun.drain t;
+  outs := !outs @ Runtime.Multirun.drain t;
   Alcotest.(check (list int)) "every value delivered doubled"
     [ 2; 4; 6; 8; 10 ]
     (List.map as_int !outs);
-  Alcotest.(check int) "nothing shed" 0 (Runtime.Splitrun.dropped t)
+  Alcotest.(check int) "nothing shed" 0 (Runtime.Multirun.link_dropped t 0)
 
 (* ---- adaptive controller ---- *)
 
@@ -568,9 +573,9 @@ let () =
           tc "sample-and-hold extremes" test_shed_sample_hold_extremes;
           tc "accounting" test_shed_accounting;
           tc "invalid configs rejected" test_shed_rejects_bad_config;
-          tc "splitrun sheds and accounts" test_splitrun_sheds_and_accounts;
+          tc "splitrun sheds and accounts" test_split_sheds_and_accounts;
           tc "splitrun lossless when unconstrained"
-            test_splitrun_lossless_when_capacity_suffices;
+            test_split_lossless_when_capacity_suffices;
         ] );
       ( "adaptive controller",
         [

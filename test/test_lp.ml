@@ -492,9 +492,13 @@ let prop_warm_bb_matches_cold_wishbone =
       in
       let contracted = Wishbone.Preprocess.contract spec in
       let encoding =
-        if seed mod 2 = 0 then Wishbone.Ilp.Restricted else Wishbone.Ilp.General
+        if seed mod 2 = 0 then Wishbone.Placement.Restricted
+        else Wishbone.Placement.General
       in
-      let enc = Wishbone.Ilp.encode encoding contracted in
+      let enc =
+        Wishbone.Placement.encode encoding (Wishbone.Placement.of_spec spec)
+          contracted
+      in
       let cold_opts =
         { Branch_bound.default_options with Branch_bound.warm_start = false }
       in

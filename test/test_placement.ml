@@ -1,13 +1,14 @@
-(* Tier-graph refactor regression suite.
+(* Tier-graph regression suite.
 
-   Four groups:
-   - pinned Splitrun runs: the two-tier wrapper over Multirun must
-     reproduce the pre-refactor engine bit-for-bit (sink digests,
-     traffic counters, per-operator drop counts) on frozen seeds;
+   Groups:
+   - pinned two-tier runs: a two-tier Multirun must reproduce the
+     original split runtime bit-for-bit (sink digests, traffic
+     counters, per-operator drop counts) on frozen seeds;
    - Figure 3 goldens solved through the generic placement core;
+   - the rate search's [placement_exact] flag under a node budget;
    - a hand-checked three-tier fixture where the optimum is computed
-     on paper, solved via Three_tier (now a Placement instance) and
-     cross-checked against the independent brute force;
+     on paper, solved as a three-tier Placement and cross-checked
+     against the independent brute force;
    - a Multirun three-tier end-to-end run exercising per-link offered
      traffic, drop accounting, queue inspection and reset. *)
 
@@ -16,7 +17,7 @@ open Wishbone
 
 let feq ?(tol = 1e-6) = Alcotest.(check (float tol))
 
-(* ---- pinned Splitrun regressions ---------------------------------- *)
+(* ---- pinned two-tier runtime regressions ------------------------- *)
 
 (* Frozen before the Multirun refactor (see CHANGES.md): random specs
    and cuts from the check-library generator, 12 rounds of injections
@@ -45,23 +46,27 @@ let pin_scenario ~seed ~shed =
     |> List.filter (fun (o : Op.t) -> o.side_effect = Op.Sensor_input)
     |> List.map (fun (o : Op.t) -> o.id)
   in
-  let split = Runtime.Splitrun.create ?shed ~node_of:(fun i -> cut.(i)) g in
+  let split =
+    Runtime.Multirun.create ~links:[ shed ] ~n_tiers:2
+      ~tier_of:(fun i -> if cut.(i) then 0 else 1)
+      g
+  in
   let sinks = ref [] in
   for k = 0 to 11 do
     List.iter
       (fun src ->
         let v = Value.Int ((17 * k) + src) in
         sinks :=
-          List.rev_append (Runtime.Splitrun.inject split ~source:src v) !sinks)
+          List.rev_append (Runtime.Multirun.inject split ~source:src v) !sinks)
       sources
   done;
-  sinks := List.rev_append (Runtime.Splitrun.drain split) !sinks;
-  let elems, bytes = Runtime.Splitrun.crossing_traffic split in
+  sinks := List.rev_append (Runtime.Multirun.drain split) !sinks;
+  let elems, bytes = Runtime.Multirun.link_traffic split 0 in
   ( Hashtbl.hash (List.rev !sinks),
     elems,
     bytes,
-    Runtime.Splitrun.dropped split,
-    Array.to_list (Runtime.Splitrun.drop_counts split) )
+    Runtime.Multirun.link_dropped split 0,
+    Array.to_list (Runtime.Multirun.link_drop_counts split 0) )
 
 let pin_configs =
   [
@@ -69,7 +74,7 @@ let pin_configs =
     ( "drop_newest",
       Some
         {
-          Runtime.Splitrun.policy = Runtime.Shed.Drop_newest;
+          Runtime.Multirun.policy = Runtime.Shed.Drop_newest;
           capacity = 2;
           service = 1;
           seed = 11;
@@ -77,7 +82,7 @@ let pin_configs =
     ( "drop_oldest",
       Some
         {
-          Runtime.Splitrun.policy = Runtime.Shed.Drop_oldest;
+          Runtime.Multirun.policy = Runtime.Shed.Drop_oldest;
           capacity = 3;
           service = 0;
           seed = 12;
@@ -85,7 +90,7 @@ let pin_configs =
     ( "sample_hold",
       Some
         {
-          Runtime.Splitrun.policy = Runtime.Shed.Sample_hold 0.5;
+          Runtime.Multirun.policy = Runtime.Shed.Sample_hold 0.5;
           capacity = 2;
           service = 1;
           seed = 13;
@@ -167,15 +172,34 @@ let test_fig3_cut_bandwidths () =
 
 let test_fig3_partition_shape () =
   let r = solve_fig3 4. in
-  let node_ops =
-    List.filter
-      (fun i -> r.Placement.tier_of.(i) = 0)
-      (List.init (Array.length r.Placement.tier_of) Fun.id)
-  in
   Alcotest.(check (list int)) "ops on the node at budget 4" [ 0; 1; 2 ]
-    node_ops;
+    (Placement.tier_ops r 0);
   feq "objective = cut bandwidth" r.Placement.link_net.(0)
     r.Placement.objective
+
+(* ---- the rate search's exactness flag ---------------------------- *)
+
+(* A one-node branch & bound budget leaves some probes without a
+   proof, so the search must say its rate is only a safe lower bound —
+   never above the rate the unbudgeted search certifies. *)
+let test_search_exact_flag () =
+  let pl =
+    Placement.of_spec (Apps.Synthetic.random_spec ~seed:3 ~n_ops:10 ())
+  in
+  let search max_nodes =
+    let o = Rate_search.default_search_options in
+    match Rate_search.search_placement ~options:{ o with max_nodes } pl with
+    | Some r -> r
+    | None -> Alcotest.fail "rate search found no feasible rate"
+  in
+  let full = search max_int and budgeted = search 1 in
+  Alcotest.(check bool) "unbudgeted search is exact" true
+    full.Rate_search.placement_exact;
+  Alcotest.(check bool) "budget-bound search is not exact" false
+    budgeted.Rate_search.placement_exact;
+  Alcotest.(check bool) "budget-bound rate <= unbudgeted rate" true
+    (budgeted.Rate_search.placement_multiplier
+    <= full.Rate_search.placement_multiplier)
 
 (* ---- hand-checked three-tier fixture ------------------------------ *)
 
@@ -215,6 +239,29 @@ let chain_spec () =
         beta = 1.;
       }
 
+(* The chain as a mote / microserver / central placement: microserver
+   costs 0.1 for a and b, mote radio bytes weigh 1 and microserver
+   uplink bytes 0.3. *)
+let three_tier ~micro_cpu_budget =
+  let spec = chain_spec () in
+  let tier tname cpu cpu_budget =
+    { Placement.tname; cpu; cpu_budget; alpha = 0. }
+  in
+  Placement.v ~spec
+    ~tiers:
+      [
+        tier "mote" spec.cpu spec.cpu_budget;
+        tier "microserver" [| 0.; 0.1; 0.1; 0. |] micro_cpu_budget;
+        tier "central" [| 0.; 0.; 0.; 0. |] infinity;
+      ]
+    ~links:
+      [
+        { Placement.lname = "mote_radio"; net_budget = spec.net_budget;
+          beta = 1. };
+        { lname = "micro_uplink"; net_budget = infinity; beta = 0.3 };
+      ]
+    ()
+
 (* Worked by hand.  src is pinned to the mote, sink to the central
    server; a and b are free but must descend monotonically.  The mote
    (budget 1.0) cannot hold src+a+b (1.3), the microserver (budget
@@ -228,49 +275,38 @@ let chain_spec () =
      a=b=mote           : mote CPU 1.3 > 1.0, infeasible
      a=b=central        : 1.0*10 + 0.3*10 = 13. *)
 let test_three_tier_hand_checked () =
-  let tt =
-    Three_tier.of_spec ~micro_cpu_budget:0.15
-      ~micro_cpu:[| 0.; 0.1; 0.1; 0. |] (chain_spec ())
-  in
-  (match Three_tier.solve tt with
-  | Three_tier.Partitioned r ->
-      Alcotest.(check bool) "tiers = [mote; mote; micro; central]" true
-        (r.Three_tier.tiers
-        = [| Three_tier.Mote; Three_tier.Mote; Three_tier.Microserver;
-             Three_tier.Central |]);
-      feq "objective" 4.6 r.Three_tier.objective;
-      feq "mote cut" 4. r.Three_tier.mote_net;
-      feq "micro cut" 2. r.Three_tier.micro_net;
-      feq "mote cpu" 0.9 r.Three_tier.mote_cpu;
-      feq "micro cpu" 0.1 r.Three_tier.micro_cpu;
-      Alcotest.(check (pair (pair int int) int)) "tier counts" ((2, 1), 1)
-        (let m, mi, c = Three_tier.tier_counts r in
-         ((m, mi), c))
+  let pl = three_tier ~micro_cpu_budget:0.15 in
+  (match Placement.solve pl with
+  | Placement.Partitioned r ->
+      Alcotest.(check (array int)) "tiers = [mote; mote; micro; central]"
+        [| 0; 0; 1; 2 |] r.tier_of;
+      feq "objective" 4.6 r.objective;
+      feq "mote cut" 4. r.link_net.(0);
+      feq "micro cut" 2. r.link_net.(1);
+      feq "mote cpu" 0.9 r.tier_cpu.(0);
+      feq "micro cpu" 0.1 r.tier_cpu.(1);
+      Alcotest.(check (list int)) "tier counts" [ 2; 1; 1 ]
+        (List.map
+           (fun tp -> List.length (Placement.tier_ops r tp))
+           [ 0; 1; 2 ])
   | _ -> Alcotest.fail "three-tier solve failed");
-  match Three_tier.brute_force tt with
+  match Check.Oracle.tree_brute_force pl ~contracted:true ~monotone:true with
   | Some (tiers, obj) ->
-      Alcotest.(check bool) "brute force agrees on tiers" true
-        (tiers
-        = [| Three_tier.Mote; Three_tier.Mote; Three_tier.Microserver;
-             Three_tier.Central |]);
+      Alcotest.(check (array int)) "brute force agrees on tiers"
+        [| 0; 0; 1; 2 |] tiers;
       feq "brute force agrees on objective" 4.6 obj
   | None -> Alcotest.fail "brute force found no feasible assignment"
 
 (* tightening the microserver out of the picture collapses to the
    two-tier optimum on the same chain *)
 let test_three_tier_collapses_to_two () =
-  let tt =
-    Three_tier.of_spec ~micro_cpu_budget:0.
-      ~micro_cpu:[| 0.; 0.1; 0.1; 0. |] (chain_spec ())
-  in
-  match Three_tier.solve tt with
-  | Three_tier.Partitioned r ->
+  match Placement.solve (three_tier ~micro_cpu_budget:0.) with
+  | Placement.Partitioned r ->
       (* a on the mote, b forced past the empty microserver: the b->sink
          edge rides both layers, so 1.0*4 + 0.3*4 *)
-      Alcotest.(check bool) "nobody on the microserver" true
-        (Array.for_all (fun t -> t <> Three_tier.Microserver)
-           r.Three_tier.tiers);
-      feq "objective" 5.2 r.Three_tier.objective
+      Alcotest.(check (list int)) "nobody on the microserver" []
+        (Placement.tier_ops r 1);
+      feq "objective" 5.2 r.objective
   | _ -> Alcotest.fail "three-tier solve failed"
 
 (* ---- Multirun three-tier end-to-end ------------------------------- *)
@@ -794,6 +830,11 @@ let () =
           Alcotest.test_case "cut bandwidths" `Quick test_fig3_cut_bandwidths;
           Alcotest.test_case "partition shape" `Quick
             test_fig3_partition_shape;
+        ] );
+      ( "rate-search",
+        [
+          Alcotest.test_case "exact flag under a node budget" `Quick
+            test_search_exact_flag;
         ] );
       ( "three-tier",
         [

@@ -119,36 +119,40 @@ let test_unreplicated_state_shared () =
   Alcotest.(check bool) "node 0" true (out 0 = [ Value.Int 1 ]);
   Alcotest.(check bool) "node 1 shares the instance" true (out 1 = [ Value.Int 2 ])
 
-(* ---- Splitrun ---- *)
+(* ---- split node/server execution: a two-tier Multirun ---- *)
 
-let test_splitrun_matches_full () =
+(* tier 0 = node, tier 1 = server *)
+let split ~n_nodes ~on_node g =
+  Runtime.Multirun.create ~n_nodes ~n_tiers:2
+    ~tier_of:(fun i -> if on_node i then 0 else 1)
+    g
+
+let test_split_matches_full () =
   let g, src = build_pipeline 4 in
   let order = Graph.topo_order g in
   (* cut after 2 ops *)
   let node_set = [ order.(0); order.(1) ] in
-  let split = Runtime.Splitrun.create ~node_of:(fun i -> List.mem i node_set) g in
-  let outs = Runtime.Splitrun.inject split ~source:src (Value.Int 10) in
+  let split = split ~n_nodes:1 ~on_node:(fun i -> List.mem i node_set) g in
+  let outs = Runtime.Multirun.inject split ~source:src (Value.Int 10) in
   Alcotest.(check bool) "sink value" true (outs = [ Value.Int 14 ]);
-  let elems, bytes = Runtime.Splitrun.crossing_traffic split in
+  let elems, bytes = Runtime.Multirun.link_traffic split 0 in
   Alcotest.(check int) "one crossing element" 1 elems;
   Alcotest.(check int) "crossing bytes" 4 bytes
 
-let test_splitrun_source_must_be_on_node () =
+let test_split_source_must_be_on_node () =
   let g, src = build_pipeline 1 in
-  let split = Runtime.Splitrun.create ~node_of:(fun _ -> false) g in
+  let split = split ~n_nodes:1 ~on_node:(fun _ -> false) g in
   Alcotest.check_raises "source misplaced"
-    (Invalid_argument "Splitrun.inject: source operator is not on the node")
-    (fun () -> ignore (Runtime.Splitrun.inject split ~source:src Value.Unit))
+    (Invalid_argument "Multirun.inject: source operator is on the root tier")
+    (fun () -> ignore (Runtime.Multirun.inject split ~source:src Value.Unit))
 
-let test_splitrun_multi_node_isolation () =
+let test_split_multi_node_isolation () =
   let g, src = build_counter_graph () in
   (* counter relocated to the server: replicated per node *)
-  let split =
-    Runtime.Splitrun.create ~n_nodes:2 ~node_of:(fun i -> i = src) g
-  in
-  let o1 = Runtime.Splitrun.inject ~node:0 split ~source:src Value.Unit in
-  let o2 = Runtime.Splitrun.inject ~node:1 split ~source:src Value.Unit in
-  let o3 = Runtime.Splitrun.inject ~node:0 split ~source:src Value.Unit in
+  let split = split ~n_nodes:2 ~on_node:(fun i -> i = src) g in
+  let o1 = Runtime.Multirun.inject ~node:0 split ~source:src Value.Unit in
+  let o2 = Runtime.Multirun.inject ~node:1 split ~source:src Value.Unit in
+  let o3 = Runtime.Multirun.inject ~node:0 split ~source:src Value.Unit in
   Alcotest.(check bool) "n0 w1" true (o1 = [ Value.Int 1 ]);
   Alcotest.(check bool) "n1 w1 (own state)" true (o2 = [ Value.Int 1 ]);
   Alcotest.(check bool) "n0 w2" true (o3 = [ Value.Int 2 ])
@@ -167,15 +171,13 @@ let prop_partition_invariance =
       let node_set = Array.sub order 0 k in
       let full = Runtime.Exec.full g in
       let split =
-        Runtime.Splitrun.create
-          ~node_of:(fun i -> Array.exists (( = ) i) node_set)
-          g
+        split ~n_nodes:1 ~on_node:(fun i -> Array.exists (( = ) i) node_set) g
       in
       let inputs = List.init 5 (fun i -> Value.Int (Prng.int rng 100 + i)) in
       List.for_all
         (fun v ->
           let a = (Runtime.Exec.fire full ~op:src ~port:0 v).sink_values in
-          let b = Runtime.Splitrun.inject split ~source:src v in
+          let b = Runtime.Multirun.inject split ~source:src v in
           List.length a = List.length b && List.for_all2 Value.equal a b)
         inputs)
 
@@ -195,9 +197,9 @@ let () =
         ] );
       ( "splitrun",
         [
-          tc "matches full run" test_splitrun_matches_full;
-          tc "source placement" test_splitrun_source_must_be_on_node;
-          tc "multi-node isolation" test_splitrun_multi_node_isolation;
+          tc "matches full run" test_split_matches_full;
+          tc "source placement" test_split_source_must_be_on_node;
+          tc "multi-node isolation" test_split_multi_node_isolation;
           QCheck_alcotest.to_alcotest prop_partition_invariance;
         ] );
     ]
