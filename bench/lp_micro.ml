@@ -123,19 +123,10 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
           r.objective
     | None -> Printf.sprintf "  \"resolve_%s\": null" name
   in
-  let pricing =
-    match
-      Lp.Branch_bound.default_options.Lp.Branch_bound.simplex
-        .Lp.Simplex.pricing
-    with
-    | Lp.Simplex.Devex -> "devex"
-    | Lp.Simplex.Dantzig -> "dantzig"
-  in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"eeg_rate_search_warm_vs_cold\",\n\
     \  \"n_channels\": %d,\n\
-    \  \"pricing\": \"%s\",\n\
      %s,\n\
      %s,\n\
      %s,\n\
@@ -143,36 +134,26 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
     \  \"pivot_ratio\": %.3f,\n\
     \  \"speedup\": %.3f\n\
      }\n"
-    n_channels pricing (mode "cold" cold) (mode "warm" warm) (resolve "cold" rc)
+    n_channels (mode "cold" cold) (mode "warm" warm) (resolve "cold" rc)
     (resolve "warm" rw)
     (Float.of_int cold.pivots /. Float.max 1. (Float.of_int warm.pivots))
     (cold.wall_s /. Float.max 1e-9 warm.wall_s);
   close_out oc
 
 (* CI smoke: partition the speech and eeg14 instances with the dense
-   tableau and with the sparse revised simplex forced under both
-   pricing rules — devex exercises the reference-framework weights
-   over the Forrest–Tomlin factor path, dantzig the candidate-list
-   rule over the same factors — and fail loudly if any engine pair
-   disagrees on the objective, or if the sparse runs never
+   tableau and with the sparse revised simplex forced (devex pricing
+   over the Forrest–Tomlin factor path), and fail loudly if the two
+   engines disagree on the objective, or if the sparse run never
    refactorised (meaning the LU path silently did not run).  Kept
    small enough that the CI step's wall-clock ceiling (see
    .github/workflows/ci.yml) catches any solver-path regression that
    turns sub-second solves into minutes. *)
 let smoke () =
-  Bench_util.header
-    "bench smoke: dense vs sparse(devex|dantzig) LP engines, speech + eeg14";
+  Bench_util.header "bench smoke: dense vs sparse LP engines, speech + eeg14";
   let run name rate spec =
     let spec = Wishbone.Spec.scale_rate spec rate in
-    let solve solver pricing =
-      let base = Lp.Branch_bound.default_options in
-      let options =
-        {
-          base with
-          Lp.Branch_bound.solver;
-          simplex = { base.Lp.Branch_bound.simplex with Lp.Simplex.pricing };
-        }
-      in
+    let solve solver =
+      let options = { Lp.Branch_bound.default_options with solver } in
       let t0 = Unix.gettimeofday () in
       match
         Wishbone.Placement.solve ~options (Wishbone.Placement.of_spec spec)
@@ -186,25 +167,20 @@ let smoke () =
           Printf.eprintf "smoke %s: solver failure: %s\n" name m;
           exit 1
     in
-    let od, td = solve Lp.Branch_bound.Dense Lp.Simplex.Devex in
+    let od, td = solve Lp.Branch_bound.Dense in
     let c0 = Lp.Sparse.counters () in
-    let os, ts = solve Lp.Branch_bound.Sparse_revised Lp.Simplex.Devex in
-    let oz, tz = solve Lp.Branch_bound.Sparse_revised Lp.Simplex.Dantzig in
+    let os, ts = solve Lp.Branch_bound.Sparse_revised in
     let c1 = Lp.Sparse.counters () in
-    Bench_util.row
-      "%-8s dense %12.6f (%6.3f s)   sparse/devex %12.6f (%6.3f s)   \
-       sparse/dantzig %12.6f (%6.3f s)\n"
-      name od td os ts oz tz;
+    Bench_util.row "%-8s dense %12.6f (%6.3f s)   sparse %12.6f (%6.3f s)\n"
+      name od td os ts;
     let agree a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a) in
-    if not (agree od os && agree od oz) then (
-      Printf.eprintf
-        "smoke %s: engines disagree: dense %.9g sparse/devex %.9g \
-         sparse/dantzig %.9g\n"
-        name od os oz;
+    if not (agree od os) then (
+      Printf.eprintf "smoke %s: engines disagree: dense %.9g sparse %.9g\n"
+        name od os;
       exit 1);
     if c1.Lp.Sparse.refactorisations <= c0.Lp.Sparse.refactorisations then (
       Printf.eprintf
-        "smoke %s: sparse runs never refactorised — LU path did not run\n"
+        "smoke %s: sparse run never refactorised — LU path did not run\n"
         name;
       exit 1)
   in

@@ -32,7 +32,6 @@ type inst_result = {
   refactorisations : int;
   ft_updates : int;
   ft_entries : int;
-  pricing : string;
 }
 
 let time_n reps f =
@@ -115,13 +114,6 @@ let bench_two_tier ~name ~reps spec =
     refactorisations = cnt.Lp.Sparse.refactorisations;
     ft_updates = cnt.Lp.Sparse.ft_updates;
     ft_entries = cnt.Lp.Sparse.ft_entries;
-    pricing =
-      (match
-         Lp.Branch_bound.default_options.Lp.Branch_bound.simplex
-           .Lp.Simplex.pricing
-       with
-      | Lp.Simplex.Devex -> "devex"
-      | Lp.Simplex.Dantzig -> "dantzig");
   }
 
 (* four platforms deep: node radio, then two successively fatter
@@ -334,10 +326,10 @@ let write_json insts (chain : chain_result) trees =
        %.6f, \"reps\": %d, \"total_ms\": %.4f, \"solver_ms\": %.4f, \
        \"overhead_pct\": %.2f, \"objective\": %.6f, \"pivots\": %d, \
        \"refactorisations\": %d, \"ft_updates\": %d, \"ft_entries\": %d, \
-       \"pricing\": \"%s\", \"guard_ok\": %b}"
+       \"guard_ok\": %b}"
       r.name r.n_ops r.n_super r.rate r.reps r.total_ms r.solver_ms
       r.overhead_pct r.objective r.pivots r.refactorisations r.ft_updates
-      r.ft_entries r.pricing (guard r)
+      r.ft_entries (guard r)
   in
   (* the tree rows use the same guard as the two-tier hot path *)
   let tree_guard (r : tree_result) =

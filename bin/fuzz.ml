@@ -67,7 +67,7 @@ let oracles =
            service-equivalence, \
            degraded-soundness ($(b,degraded) for short), \
            tree-equivalence ($(b,tree) for short), \
-           sched-equivalence ($(b,sched) for short).  Default: all \
+           sim-determinism ($(b,sim) for short).  Default: all \
            nine.")
 
 let no_shrink =

@@ -11,6 +11,11 @@
 
 open Cmdliner
 
+(* a user error: one [error: ...] line on stderr, exit status 1 *)
+let die m =
+  Printf.eprintf "error: %s\n" m;
+  exit 1
+
 (* ---- shared arguments ---- *)
 
 type app = Speech | Eeg | Eeg1
@@ -396,49 +401,13 @@ let partition_cmd =
             "Concurrent branch & bound node expansions (deterministic: \
              the partition returned is the same for any worker count).")
   in
-  let pricing_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("devex", Lp.Simplex.Devex); ("dantzig", Lp.Simplex.Dantzig) ]))
-          None
-      & info [ "pricing" ] ~docv:"RULE"
-          ~doc:
-            "Simplex pricing rule: $(b,devex) (reference-framework \
-             weights, the default) or $(b,dantzig) (candidate-list most \
-             negative reduced cost).  Either rule reaches the same \
-             optimum; only the pivot trajectory differs.")
-  in
-  let schedule_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("wave", Lp.Branch_bound.Wave);
-                  ("steal", Lp.Branch_bound.Steal);
-                ]))
-          None
-      & info [ "schedule" ] ~docv:"MODE"
-          ~doc:
-            "Node scheduling across --workers: $(b,wave) (deterministic \
-             bulk-synchronous waves, the default) or $(b,steal) \
-             (work-stealing worker domains; same optimum, \
-             timing-dependent node order).")
-  in
   let solver_options base max_pivots time_limit_ms node_budget pivot_budget
-      workers pricing schedule =
+      workers =
+    if workers < 1 then die "--workers must be at least 1";
     let o = base in
     {
       o with
       Lp.Branch_bound.workers;
-      schedule =
-        (match schedule with
-        | Some s -> s
-        | None -> o.Lp.Branch_bound.schedule);
       time_limit =
         (match time_limit_ms with
         | Some ms -> ms /. 1000.
@@ -453,31 +422,19 @@ let partition_cmd =
         | None -> o.Lp.Branch_bound.pivot_budget);
       simplex =
         (let s = o.Lp.Branch_bound.simplex in
-         let s =
-           match max_pivots with
-           | Some p -> { s with Lp.Simplex.max_pivots = p }
-           | None -> s
-         in
-         match pricing with
-         | Some p -> { s with Lp.Simplex.pricing = p }
+         match max_pivots with
+         | Some p -> { s with Lp.Simplex.max_pivots = p }
          | None -> s);
     }
   in
   (* process-wide solver work counters, reset at solve entry: the
      verbose tail of the report, for eyeballing the effect of
-     --pricing / --schedule / --workers on actual work done *)
-  let report_counters (options : Lp.Branch_bound.options) ~fb0
-      (stats : Lp.Branch_bound.stats) =
+     --workers and the budgets on actual work done *)
+  let report_counters ~fb0 (stats : Lp.Branch_bound.stats) =
     let c = Lp.Sparse.counters () in
     Printf.printf
-      "solver counters: pricing %s, schedule %s, %d pivots, %d \
-       refactorisations, %d FT updates (%d entries), %d dense fallbacks\n"
-      (match options.Lp.Branch_bound.simplex.Lp.Simplex.pricing with
-      | Lp.Simplex.Devex -> "devex"
-      | Lp.Simplex.Dantzig -> "dantzig")
-      (match options.Lp.Branch_bound.schedule with
-      | Lp.Branch_bound.Wave -> "wave"
-      | Lp.Branch_bound.Steal -> "steal")
+      "solver counters: %d pivots, %d refactorisations, %d FT updates (%d \
+       entries), %d dense fallbacks\n"
       (Lp.Simplex.cumulative_pivots ())
       c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
       c.Lp.Sparse.ft_entries
@@ -511,15 +468,14 @@ let partition_cmd =
     exit 1
   in
   let run app platform duration mode rate dot search tiers topology max_pivots
-      time_limit_ms node_budget pivot_budget workers pricing schedule =
+      time_limit_ms node_budget pivot_budget workers =
     (* the rate search keeps its looser per-solve budgets unless
        overridden explicitly *)
     let options =
       solver_options
         (if search then Wishbone.Rate_search.default_search_options
          else Lp.Branch_bound.default_options)
-        max_pivots time_limit_ms node_budget pivot_budget workers pricing
-        schedule
+        max_pivots time_limit_ms node_budget pivot_budget workers
     in
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
@@ -529,20 +485,15 @@ let partition_cmd =
     let ts =
       match (tiers, topology) with
       | Some _, Some _ ->
-          Printf.eprintf "error: --tiers and --topology are mutually exclusive\n";
-          exit 1
+          die "--tiers and --topology are mutually exclusive"
       | Some s, None -> (
           match parse_chain s with
           | Ok plats -> Some { plats; parents = None }
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 1)
+          | Error m -> die m)
       | None, Some s -> (
           match parse_topology s with
           | Ok t -> Some t
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 1)
+          | Error m -> die m)
       | None, None -> None
     in
     let node_platform =
@@ -558,8 +509,7 @@ let partition_cmd =
     in
     match Wishbone.Spec.of_profile ~mode ~node_platform raw with
     | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
+        die m
     | Ok spec -> (
         (* the classic node/server cut is the two-tier placement *)
         let pl =
@@ -569,7 +519,7 @@ let partition_cmd =
         in
         let finish pl (r : Wishbone.Placement.report) =
           Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-          report_counters options ~fb0 r.solver;
+          report_counters ~fb0 r.solver;
           report_budget ~objective:r.objective r.solver;
           write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
         in
@@ -611,8 +561,7 @@ let partition_cmd =
     Term.(
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ rate_arg
       $ dot_arg $ search_arg $ tiers_arg $ topology_arg $ max_pivots_arg
-      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg $ workers_arg
-      $ pricing_arg $ schedule_arg)
+      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg $ workers_arg)
 
 let sweep_cmd =
   let from_arg =
@@ -629,8 +578,7 @@ let sweep_cmd =
     let raw = b.profile ~duration in
     match Wishbone.Spec.of_profile ~mode ~node_platform:platform raw with
     | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
+        die m
     | Ok spec ->
         Printf.printf "%-10s %16s %16s %12s\n" "rate x" "ops on node"
           "cut B/s" "node cpu %";
@@ -685,7 +633,7 @@ let deploy_cmd =
       value & opt float 0.1
       & info [ "burst-loss" ] ~docv:"P"
           ~doc:"Long-run extra loss probability injected as bursts (with \
-                --faults).")
+                --faults); 0 injects none.")
   in
   let crash_rate_arg =
     Arg.(
@@ -725,8 +673,7 @@ let deploy_cmd =
         ~node_platform raw
     with
     | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
+        die m
     | Ok spec -> (
         let spec = Wishbone.Spec.scale_rate spec rate in
         let pl = placement_of_topo_spec spec raw ts in
@@ -787,10 +734,7 @@ let deploy_cmd =
   let run platform nodes cut sim_duration faults burst_loss crash_rate
       reliable adaptive rate seed tiers topology =
     let t = Apps.Speech.build () in
-    let die m =
-      Printf.eprintf "error: %s\n" m;
-      exit 1
-    in
+    if nodes < 1 then die "--nodes must be at least 1";
     match (tiers, topology) with
     | Some _, Some _ -> die "--tiers and --topology are mutually exclusive"
     | Some s, None -> (
@@ -805,12 +749,11 @@ let deploy_cmd =
            node platform, one radio hop from the basestation root; the
            sensing sources sit on tier 0, so the fan-out IS the
            topology and no extra tier-0 replication applies *)
-        let n = Int.max 1 nodes in
         run_tiers_deploy
           ~ts:
             {
-              plats = List.init n (fun _ -> platform);
-              parents = Some (Netsim.Testbed.routing_parents ~n_nodes:n);
+              plats = List.init nodes (fun _ -> platform);
+              parents = Some (Netsim.Testbed.routing_parents ~n_nodes:nodes);
             }
           ~replicas:1 ~sim_duration ~rate ~seed t
     | None, Some s -> (
@@ -819,6 +762,11 @@ let deploy_cmd =
         | Ok ts ->
             run_tiers_deploy ~ts ~replicas:nodes ~sim_duration ~rate ~seed t)
     | None, None ->
+    let n_ops = Array.length t.Apps.Speech.order in
+    if cut < 1 || cut >= n_ops then
+      die (Printf.sprintf "--cut must be in 1..%d" (n_ops - 1));
+    if faults && not (burst_loss >= 0. && burst_loss < 1.) then
+      die "--burst-loss must be in [0, 1) (0 injects no bursts)";
     let assignment = Apps.Speech.cut_assignment t cut in
     let link =
       if platform.Profiler.Platform.radio_payload_bytes <= 64 then
@@ -855,8 +803,7 @@ let deploy_cmd =
           ~node_platform:platform raw
       with
       | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
+          die m
       | Ok spec ->
           let probe ~rate:r ~assignment =
             Wishbone.Adaptive.testbed_probe ~config ~graph:t.Apps.Speech.graph

@@ -7,12 +7,12 @@ type oracle =
   | Service_equivalence
   | Degraded_soundness
   | Tree_equivalence
-  | Sched_equivalence
+  | Sim_determinism
 
 let all_oracles =
   [ Lp_certificate; Ilp_brute; Cut_enumeration; Split_equivalence;
     Degradation; Service_equivalence;
-    Degraded_soundness; Tree_equivalence; Sched_equivalence ]
+    Degraded_soundness; Tree_equivalence; Sim_determinism ]
 
 let oracle_name = function
   | Lp_certificate -> "lp-certificate"
@@ -23,15 +23,15 @@ let oracle_name = function
   | Service_equivalence -> "service-equivalence"
   | Degraded_soundness -> "degraded-soundness"
   | Tree_equivalence -> "tree-equivalence"
-  | Sched_equivalence -> "sched-equivalence"
+  | Sim_determinism -> "sim-determinism"
 
 let oracle_of_name s =
   let s = String.lowercase_ascii (String.trim s) in
-  (* "service", "degraded", "tree" and "sched" are short aliases *)
+  (* "service", "degraded", "tree" and "sim" are short aliases *)
   if s = "service" then Some Service_equivalence
   else if s = "degraded" then Some Degraded_soundness
   else if s = "tree" then Some Tree_equivalence
-  else if s = "sched" then Some Sched_equivalence
+  else if s = "sim" then Some Sim_determinism
   else List.find_opt (fun o -> oracle_name o = s) all_oracles
 
 let oracle_index = function
@@ -45,7 +45,7 @@ let oracle_index = function
   | Service_equivalence -> 6
   | Degraded_soundness -> 7
   | Tree_equivalence -> 8
-  | Sched_equivalence -> 9
+  | Sim_determinism -> 9
 
 type config = {
   seed : int;
@@ -243,13 +243,13 @@ let run_case cfg oracle ~case =
             if cfg.shrink then Shrink.spec (safe_fails check) s else s
           in
           mk (remsg check small msg) (pp_spec small))
-  | Sched_equivalence -> (
+  | Sim_determinism -> (
       (* the testbed instance (fleet, faults, transport, cells) is
          drawn inside the oracle from the check stream, so the whole
          case re-derives from the case seed; there is no structure to
          shrink *)
       ignore gen_rng;
-      match Oracle.sched_equivalence (chk ()) with
+      match Oracle.sim_determinism (chk ()) with
       | Oracle.Pass -> None
       | Oracle.Fail msg ->
           mk msg "(testbed instance re-derived from the case seed)")

@@ -29,12 +29,11 @@ type oracle =
           tier trees of 2–5 tiers (two tiers is the classic cut), and
           a chain expressed as a degenerate tree encodes the
           byte-identical ILP ("tree" is a CLI alias) *)
-  | Sched_equivalence
-      (** the timing-wheel event scheduler walks the identical event
-          trace and lands on the bit-identical testbed result as the
-          historical binary heap, across schedulers, cell
-          decompositions and simulation-domain counts ("sched" is a
-          CLI alias) *)
+  | Sim_determinism
+      (** the simulated testbed processes events, conserves messages
+          under reliable transport, and returns the bit-identical
+          result for a cell decomposition on one and two simulation
+          domains ("sim" is a CLI alias) *)
 
 val all_oracles : oracle list
 val oracle_name : oracle -> string

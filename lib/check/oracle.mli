@@ -133,16 +133,11 @@ val split_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     of times, and the split runtime's crossing traffic must equal the
     full run's traffic over the cut edges. *)
 
-val sched_equivalence : Prng.t -> outcome
-(** The timing-wheel scheduler against the historical binary heap on a
-    random small testbed fleet (2–12 nodes, random rate / payload /
-    duration / seed, random fault and transport mix).  Heap and wheel
-    runs must walk the {e identical} event sequence — an
-    order-sensitive digest over the testbed's [?probe] hook — and land
-    on the identical {!Netsim.Testbed.result}, floats compared bit for
-    bit.  A random cell decomposition must then be invariant under the
-    simulation-domain count (wheel, domains 1 vs 2) and under the
-    scheduler (multi-cell heap vs wheel).  Under reliable transport
-    the message-conservation invariant
-    [sent = received + expired + pending] is re-checked along the
-    way. *)
+val sim_determinism : Prng.t -> outcome
+(** The simulated testbed on a random small fleet (2–12 nodes, random
+    rate / payload / duration / seed, random fault and transport mix).
+    The run must process at least one event (a vacuous case fails) and,
+    under reliable transport, conserve messages:
+    [sent = received + expired + pending].  A random cell decomposition
+    must then give the identical {!Netsim.Testbed.result}, floats
+    compared bit for bit, on one and on two simulation domains. *)

@@ -1,9 +1,9 @@
 (** Minimal binary min-heap keyed by floats.
 
     Two hot paths share it: branch & bound orders open nodes by their
-    LP relaxation bound (best-first), and [Netsim.Sched]'s [Heap]
-    scheduler kind wraps it as the reference event queue — the wheel
-    scheduler is validated against this exact pop order.
+    LP relaxation bound (best-first), and [Netsim.Testbed] pops its
+    discrete events from one heap per collision domain — every
+    simulator golden and digest pins this exact pop order.
 
     Entries with equal keys pop in an order determined by the heap's
     internal structure (deterministic for a given push/pop sequence,

@@ -34,7 +34,7 @@
     pure function of [workers], reproducible run-to-run.  [workers =
     1] reproduces the sequential best-first search verbatim.  Tied
     incumbents are broken lexicographically, keeping the returned
-    point stable across exploration schedules.
+    point stable across worker counts.
 
     Every solve first runs {!Presolve}: bound propagation fixes
     columns and drops rows, the search runs on the reduced problem,
@@ -53,19 +53,6 @@ type lp_solver =
   | Dense  (** always the dense tableau ({!Simplex}) *)
   | Sparse_revised  (** always the sparse revised simplex ({!Sparse}) *)
 
-type schedule =
-  | Wave
-      (** bulk-synchronous waves of up to [workers] nodes, applied in
-          deterministic batch order: the search and every statistic
-          except wall-clock time are a pure function of [workers], and
-          [workers = 1] is the sequential search verbatim (default) *)
-  | Steal
-      (** long-lived worker domains with per-worker best-bound heaps;
-          an idle worker steals the globally best open node.  Keeps
-          all workers busy on deep uneven trees, at the cost of a
-          timing-dependent exploration order — the returned optimum is
-          unchanged, but node and pivot counts vary run to run *)
-
 type options = {
   max_nodes : int;
       (** open-node exploration budget — the deterministic {e node
@@ -82,14 +69,13 @@ type options = {
           Checked cooperatively at every node boundary and threaded
           into each LP solve as a per-solve pivot cap, so — unlike
           [time_limit] — a budgeted run is a pure function of the
-          problem and [workers] (under [Wave]): the same machine-
-          independent answer everywhere.  [max_int] leaves every code
+          problem and [workers]: the same machine-independent answer
+          everywhere.  [max_int] leaves every code
           path bit-identical to a build without the budget. *)
   on_node : (nodes:int -> pivots:int -> unit) option;
       (** cooperative checkpoint, called with the deterministic node
           and cumulative-pivot counters before the root solve and
-          before each node expansion (in [Steal] mode: by whichever
-          worker reaches the scheduler first).  An exception raised
+          before each node expansion.  An exception raised
           here aborts the search and propagates to the caller —
           the fault-injection hook of the placement service's
           {!Wishbone.Service.Fault_plan}.  [None] (the default) adds
@@ -99,10 +85,9 @@ type options = {
           [true]; results are identical either way, only pivot counts
           differ) *)
   workers : int;
-      (** concurrent node expansions (default [1] = sequential); under
-          [Wave] the optimum returned is deterministic for any fixed
-          value *)
-  schedule : schedule;  (** node scheduling across workers *)
+      (** concurrent node expansions (default [1] = sequential; values
+          below [1] count as [1]); the optimum returned is
+          deterministic for any fixed value *)
   solver : lp_solver;  (** LP engine selection (default [Auto]) *)
   simplex : Simplex.options;
 }

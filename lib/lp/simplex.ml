@@ -1,11 +1,8 @@
-type pricing = Dantzig | Devex
-
 type options = {
   max_pivots : int;
   feas_tol : float;
   cost_tol : float;
   degen_window : int;
-  pricing : pricing;
 }
 
 let default_options =
@@ -14,7 +11,6 @@ let default_options =
     feas_tol = 1e-7;
     cost_tol = 1e-9;
     degen_window = 40;
-    pricing = Devex;
   }
 
 (* Column status in the bounded-variable simplex; shared with basis

@@ -5,8 +5,10 @@
     The implementation is a dense-tableau bounded-variable simplex:
     nonbasic variables rest at either bound, the ratio test allows
     bound flips, and phase 1 drives a full set of artificial variables
-    to zero.  Dantzig pricing is used with a Bland's-rule fallback
-    after a run of degenerate pivots, which guarantees termination.
+    to zero.  Dantzig pricing (most negative reduced cost) is used
+    with a Bland's-rule fallback after a run of degenerate pivots,
+    which guarantees termination.  The sparse revised simplex
+    ({!Sparse}) prices devex instead; both share these options.
 
     {!solve_warm} additionally accepts a {!Basis.t} snapshot from a
     previous solve of a structurally identical problem: the basis is
@@ -24,24 +26,12 @@
     after preprocessing), so a dense tableau is both simple and fast
     enough; see DESIGN.md §10. *)
 
-type pricing = Dantzig | Devex
-
 type options = {
   max_pivots : int;  (** total pivot budget across all phases *)
   feas_tol : float;  (** feasibility / integrality of the basis *)
   cost_tol : float;  (** reduced-cost optimality tolerance *)
   degen_window : int;
       (** consecutive non-improving pivots before switching to Bland *)
-  pricing : pricing;
-      (** entering-variable rule for the {e sparse} revised simplex
-          ({!Sparse}): [Devex] (the default) maintains
-          reference-framework weights and picks the steepest scaled
-          reduced cost, typically halving the pivot count; [Dantzig]
-          is the candidate-list largest-coefficient rule.  Both keep
-          the Bland's-rule fallback after [degen_window] degenerate
-          pivots.  The dense tableau solver always prices Dantzig —
-          its per-pivot cost is dominated by the row reduction, not
-          the scan — so this option does not change dense results. *)
 }
 
 val default_options : options

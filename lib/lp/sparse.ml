@@ -277,9 +277,9 @@ let ftran_col st j =
    image is in [st.w]; [leaving_stat] is where the old variable rests.
    [enter_val] is the new basic value of [j].  Shared by the primal
    and dual pivots.  [y_done] means the caller already updated the
-   duals incrementally (devex path); otherwise they are recomputed
-   exactly.  Returns [true] when a stability-triggered refresh ran —
-   after which every derived quantity is exact again. *)
+   duals incrementally (every pivot but Bland's); otherwise they are
+   recomputed exactly.  Returns [true] when a stability-triggered
+   refresh ran — after which every derived quantity is exact again. *)
 let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
   let old = st.basis.(r) in
   st.stat.(old) <- leaving_stat;
@@ -302,28 +302,23 @@ let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
     false
   end
 
-(* ---- primal simplex with candidate-list pricing ------------------- *)
+(* ---- primal simplex with devex pricing ---------------------------- *)
 
 type step = Optimal_reached | Unbounded_ray | Budget_exhausted
-
-let cand_cap = 24
 
 let primal st ~allowed =
   let opts = st.opts in
   let d = st.d in
   let ncols = st.d.ncols in
-  let devex = opts.pricing = Simplex.Devex in
   (* fresh reference framework per primal phase *)
-  if devex then Array.fill st.dw 0 ncols 1.;
+  Array.fill st.dw 0 ncols 1.;
   (* exact duals invariant: true whenever [st.y] was last set by
      [compute_y] / [refresh]; devex lets it drift between pivots and
      restores it before trusting an "optimal" verdict.  A preceding
-     devex dual phase may already have left drift, so start dirty. *)
-  let y_exact = ref (not devex) in
+     dual phase may already have left drift, so start dirty. *)
+  let y_exact = ref false in
   let degen_run = ref 0 in
   let result = ref None in
-  let cand = Array.make cand_cap (-1) in
-  let n_cand = ref 0 in
   let eligible j dj =
     match st.stat.(j) with
     | At_lower -> dj < -.opts.cost_tol
@@ -363,63 +358,6 @@ let primal st ~allowed =
     done;
     !enter
   in
-  (* Full Dantzig scan; refills the candidate list with the runners-up
-     so the next [cand_cap - 1] pivots price only the short list. *)
-  let full_scan () =
-    n_cand := 0;
-    let enter = ref (-1) in
-    let best = ref 0. in
-    let worst_cand = ref 0 in
-    (* index into cand of the smallest score *)
-    let scores = Array.make cand_cap 0. in
-    for j = 0 to ncols - 1 do
-      if movable st j && allowed j then begin
-        let dj = price st j in
-        if eligible j dj then begin
-          let score = Float.abs dj in
-          if score > !best then begin
-            best := score;
-            enter := j
-          end;
-          if !n_cand < cand_cap then begin
-            cand.(!n_cand) <- j;
-            scores.(!n_cand) <- score;
-            incr n_cand;
-            if score < scores.(!worst_cand) then worst_cand := !n_cand - 1
-          end
-          else if score > scores.(!worst_cand) then begin
-            cand.(!worst_cand) <- j;
-            scores.(!worst_cand) <- score;
-            worst_cand := 0;
-            for k = 1 to cand_cap - 1 do
-              if scores.(k) < scores.(!worst_cand) then worst_cand := k
-            done
-          end
-        end
-      end
-    done;
-    !enter
-  in
-  let pick_entering () =
-    (* price the candidate list first; fall back to a full scan when
-       it has gone stale *)
-    let enter = ref (-1) in
-    let best = ref 0. in
-    for k = 0 to !n_cand - 1 do
-      let j = cand.(k) in
-      if j >= 0 && movable st j && allowed j then begin
-        let dj = price st j in
-        if eligible j dj then begin
-          let score = Float.abs dj in
-          if score > !best then begin
-            best := score;
-            enter := j
-          end
-        end
-      end
-    done;
-    if !enter >= 0 then !enter else full_scan ()
-  in
   while !result = None do
     if !(st.pivots_left) <= 0 then result := Some Budget_exhausted
     else begin
@@ -435,7 +373,7 @@ let primal st ~allowed =
           end;
           bland_scan ()
         end
-        else if devex then begin
+        else begin
           let e = devex_scan () in
           if e >= 0 || !y_exact then e
           else begin
@@ -446,7 +384,6 @@ let primal st ~allowed =
             devex_scan ()
           end
         end
-        else pick_entering ()
       in
       if enter < 0 then result := Some Optimal_reached
       else begin
@@ -517,11 +454,11 @@ let primal st ~allowed =
               +. (sigma *. t)
             in
             let leaving_stat = if !leave_to_upper then At_upper else At_lower in
-            if devex && not use_bland then begin
+            if not use_bland then begin
               (* one BTRAN of e_r yields the pivot row, which feeds
                  both the reference-framework weight update and the
                  incremental dual update — replacing the per-pivot
-                 BTRAN of c_B the Dantzig path pays *)
+                 BTRAN of c_B the Bland path pays *)
               Array.fill st.rho 0 d.m 0.;
               st.rho.(r) <- 1.;
               Factor.btran st.f st.rho;
@@ -585,7 +522,6 @@ type dual_step =
 let dual st =
   let opts = st.opts in
   let d = st.d in
-  let devex = opts.pricing = Simplex.Devex in
   let result = ref None in
   while !result = None do
     if !(st.pivots_left) <= 0 then result := Some Dual_budget
@@ -687,18 +623,15 @@ let dual st =
             +. delta
           in
           let leaving_stat = if above then At_upper else At_lower in
-          if devex then begin
-            (* [st.rho] still holds B^-T e_r: update the duals
-               incrementally instead of paying a BTRAN of c_B.  Any
-               drift only shifts which dual pivot is preferred; the
-               endpoint is re-verified by the primal cleanup pass. *)
-            let ty = !enter_dc /. st.w.(r) in
-            for i = 0 to d.m - 1 do
-              st.y.(i) <- st.y.(i) +. (ty *. st.rho.(i))
-            done;
-            ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:true)
-          end
-          else ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:false)
+          (* [st.rho] still holds B^-T e_r: update the duals
+             incrementally instead of paying a BTRAN of c_B.  Any drift
+             only shifts which dual pivot is preferred; the endpoint is
+             re-verified by the primal cleanup pass. *)
+          let ty = !enter_dc /. st.w.(r) in
+          for i = 0 to d.m - 1 do
+            st.y.(i) <- st.y.(i) +. (ty *. st.rho.(i))
+          done;
+          ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:true)
         end
       end
     end

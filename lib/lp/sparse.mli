@@ -6,12 +6,12 @@
     once in compressed sparse column form, keeps the basis as a
     sparse LU factorisation with Forrest–Tomlin updates ({!Factor},
     refreshed when an update turns numerically marginal rather than
-    on a fixed cadence), and so pays O(nnz) per pivot.  Pricing
-    follows {!Simplex.options.pricing}: devex reference-framework
-    weights by default — the BTRAN of the pivot row that feeds the
-    weight update also updates the duals incrementally, so devex
-    costs no extra BTRANs over Dantzig — or the candidate-list
-    Dantzig rule, both with the Bland's-rule anti-cycling fallback.
+    on a fixed cadence), and so pays O(nnz) per pivot.  Pricing is
+    devex: reference-framework weights, where the BTRAN of the pivot
+    row that feeds the weight update also updates the duals
+    incrementally, so the weights cost no extra BTRANs.  After
+    [degen_window] degenerate pivots it falls back to Bland's rule
+    against cycling.
 
     The solve semantics mirror {!Simplex.solve_warm} exactly: same
     column layout (structural, slack, artificial), same {!Basis.t}

@@ -32,7 +32,6 @@ let measure ?(payload_bytes = 24) ?(duration = 30.) ?(seed = 99) ~n_nodes
       os_overhead = 1.0;
       faults = Faults.none;
       transport = Transport.Unreliable;
-      sched = Sched.Heap;
       cells = None;
       domains = 1;
     }

@@ -17,14 +17,13 @@ type config = {
   os_overhead : float;
   faults : Faults.t;
   transport : Transport.policy;
-  sched : Sched.kind;
   cells : int array option;
   domains : int;
 }
 
 let default_config ?(n_nodes = 1) ?(duration = 60.) ?(seed = 1)
     ?(faults = Faults.none) ?(transport = Transport.Unreliable)
-    ?(sched = Sched.Heap) ?cells ?(domains = 1) ~platform ~link () =
+    ?cells ?(domains = 1) ~platform ~link () =
   {
     n_nodes;
     platform;
@@ -39,7 +38,6 @@ let default_config ?(n_nodes = 1) ?(duration = 60.) ?(seed = 1)
     os_overhead = 1.15;
     faults;
     transport;
-    sched;
     cells;
     domains;
   }
@@ -94,8 +92,8 @@ let dummy_msg =
     total_frags = 0;
   }
 
-(* Events are packed into a single non-negative int (<= 62 bits) so
-   the scheduler never boxes:
+(* Events are packed into a single non-negative int (<= 62 bits), the
+   payload of the float-keyed event heap:
 
      bits 0..2    tag
      bits 3..23   cell-local node index (21 bits)
@@ -231,8 +229,8 @@ type cell_out = {
    the pre-scale-out testbed.  [server = None] defers deliveries to
    the caller (which fires the server half after joining all cells)
    and derives the cell's streams as [derive seed [2; cell(; k)]]. *)
-let sim_cell (config : config) ~graph ~node_mask ~sources_arr
-    ~(probe : float -> int -> unit) ~server ~cell ~(g_of_l : int array) =
+let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
+    ~(g_of_l : int array) =
   let m = Array.length g_of_l in
   if m > node_limit then
     invalid_arg "Testbed.run: a cell holds more than 2^21 nodes";
@@ -287,13 +285,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
   let next_mid = Array.make m 0 in
   let up = Array.make m true in
   let epoch = Array.make m 0 in
-  (* the wheel tick tracks the natural event spacing: a fraction of a
-     packet airtime, but no finer than 1 us (ordering never depends on
-     the tick, only bucket occupancy does) *)
-  let tick = Float.max 1e-6 (Link.packet_airtime link /. 4.) in
-  let events =
-    Sched.create ~kind:config.sched ~capacity:(Int.max 64 (2 * m)) ~tick ()
-  in
+  let events = Heap.Pqueue.create ~capacity:(Int.max 64 (2 * m)) () in
   (* shared-channel state *)
   let busy_until = ref 0. in
   let tx_active = ref false in
@@ -342,19 +334,19 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
       if spec.rate > 0. then
         for node = 0 to m - 1 do
           let phase = Prng.uniform rng 0. (1. /. spec.rate) in
-          Sched.push events phase (mk_sample node si 0)
+          Heap.Pqueue.push events phase (mk_sample node si 0)
         done)
     sources_arr;
   (* the crash/reboot schedule is fixed up front from its own stream *)
   List.iter
     (fun (t, node, what) ->
-      Sched.push events t
+      Heap.Pqueue.push events t
         (match what with
         | `Crash -> mk tag_crash node 0
         | `Reboot -> mk tag_reboot node 0))
     (Faults.crash_schedule crash_rng faults ~n_nodes:m
        ~duration:config.duration);
-  let schedule t ev = Sched.push events t ev in
+  let schedule t ev = Heap.Pqueue.push events t ev in
   (* congestion backoff: the contention window doubles each time a node
      finds the channel busy or collides, like the TinyOS CSMA layer *)
   let backoff n =
@@ -719,16 +711,12 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
         end
   in
   let rec loop () =
-    if Sched.pop events then begin
-      let t = Sched.time events in
-      if t <= config.duration then begin
-        let ev = Sched.event events in
+    match Heap.Pqueue.pop events with
+    | Some (t, ev) when t <= config.duration ->
         incr handled;
-        probe t ev;
         handle t ev;
         loop ()
-      end
-    end
+    | _ -> ()
   in
   loop ();
   {
@@ -764,7 +752,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
     o_deliv = !deliveries;
   }
 
-let run ?probe config ~graph ~node_of ~sources =
+let run config ~graph ~node_of ~sources =
   if config.n_nodes <= 0 then invalid_arg "Testbed.run: need at least one node";
   if config.domains < 1 then invalid_arg "Testbed.run: domains must be >= 1";
   List.iter
@@ -782,7 +770,6 @@ let run ?probe config ~graph ~node_of ~sources =
   let server =
     Runtime.Exec.create ~replicated ~member:(fun i -> not node_mask.(i)) graph
   in
-  let probe = match probe with None -> fun _ _ -> () | Some f -> f in
   let inline, groups =
     match config.cells with
     | None -> (true, [| Array.init config.n_nodes (fun i -> i) |])
@@ -812,17 +799,17 @@ let run ?probe config ~graph ~node_of ~sources =
   in
   let ncells = Array.length groups in
   let sim c =
-    sim_cell config ~graph ~node_mask ~sources_arr ~probe
+    sim_cell config ~graph ~node_mask ~sources_arr
       ~server:(if inline then Some server else None)
       ~cell:c ~g_of_l:groups.(c)
   in
   let outs = Array.make ncells None in
   let nd = Int.min config.domains ncells in
   (* Cells are mutually independent (disjoint nodes, own PRNG streams,
-     own scheduler and tables), so sharding them over Domains changes
-     nothing but wall-clock time; the join below reads them back in
-     cell-index order, which makes every aggregate and the server
-     firing order a pure function of the cell decomposition. *)
+     own event heap and tables), so sharding them over Domains
+     changes nothing but wall-clock time; the join below reads them
+     back in cell-index order, which makes every aggregate and the
+     server firing order a pure function of the cell decomposition. *)
   if nd <= 1 then
     for c = 0 to ncells - 1 do
       outs.(c) <- Some (sim c)

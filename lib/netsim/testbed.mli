@@ -26,14 +26,10 @@
 
     {2 Scale-out}
 
-    Three independent knobs rebuild the hot path for large fleets
+    Events pop from one float-keyed binary heap ({!Heap.Pqueue}) per
+    collision domain.  Two independent knobs shard large fleets
     without moving any small-N result:
 
-    - {!config.sched} picks the event scheduler: the historical
-      binary heap ([Sched.Heap], the default — goldens cannot move
-      silently) or the O(1) timing wheel ([Sched.Wheel]).  Both pop
-      the same event sequence (ties are measure-zero; the
-      [sched-equivalence] fuzz oracle enforces trace identity).
     - {!config.cells} partitions nodes into disjoint {e collision
       domains} (radio cells): nodes contend only within their cell,
       each cell draws from its own derived PRNG streams
@@ -45,8 +41,8 @@
       {!Domain}s.  Cells are joined in cell-index order, so the
       result is a pure function of the cell decomposition: domains
       1, 2 and 4 return identical results, bit for bit.  Under
-      [domains > 1] every [source_spec.gen] closure (and any [?probe]
-      callback passed to {!run}) must be thread-safe.
+      [domains > 1] every [source_spec.gen] closure must be
+      thread-safe.
 
     Seed derivation: the config [seed] drives the primary
     channel/CSMA stream directly ([Prng.create seed]); fault
@@ -79,7 +75,6 @@ type config = {
       (** multiplier on traversal compute time for OS/task overheads *)
   faults : Faults.t;  (** injected failure processes *)
   transport : Transport.policy;  (** end-to-end reliability *)
-  sched : Sched.kind;  (** event scheduler; [Heap] is the legacy default *)
   cells : int array option;
       (** [cells.(node)] = collision-domain id (dense, every cell
           nonempty); [None] = one shared channel (the paper's testbed) *)
@@ -89,10 +84,10 @@ type config = {
 val default_config :
   ?n_nodes:int -> ?duration:float -> ?seed:int ->
   ?faults:Faults.t -> ?transport:Transport.policy ->
-  ?sched:Sched.kind -> ?cells:int array -> ?domains:int ->
+  ?cells:int array -> ?domains:int ->
   platform:Profiler.Platform.t -> link:Link.t -> unit -> config
-(** Defaults: no faults, unreliable transport, heap scheduler, one
-    shared collision domain, one simulation domain. *)
+(** Defaults: no faults, unreliable transport, one shared collision
+    domain, one simulation domain. *)
 
 type result = {
   inputs_offered : int;
@@ -138,19 +133,10 @@ type result = {
 }
 
 val run :
-  ?probe:(float -> int -> unit) ->
   config -> graph:Dataflow.Graph.t -> node_of:(int -> bool) ->
   sources:source_spec list -> result
 (** Simulate the given partition.  [node_of] must place every source
     operator on the node.
-
-    [probe] observes every handled event as [(time, packed_event)]
-    before its handler runs — the hook the [sched-equivalence] oracle
-    digests traces with.  The packing is internal (stable within a
-    run: equal inputs give equal packings), node indices in it are
-    cell-local, and under [domains > 1] the callback fires
-    concurrently from worker domains, so callers either synchronize
-    or probe single-domain runs only.
 
     Under reliable transport every message ends in exactly one of
     [msgs_received], [msgs_expired] or [msgs_pending]:

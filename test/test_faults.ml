@@ -20,13 +20,13 @@ let probe_app () =
 
 let run_probe ?(n_nodes = 1) ?(duration = 30.) ?(rate = 2.) ?(payload = 110)
     ?(seed = 7) ?(faults = Netsim.Faults.none)
-    ?(transport = Netsim.Transport.Unreliable) ?(link = link)
-    ?(sched = Netsim.Sched.Heap) ?cells ?(domains = 1) () =
+    ?(transport = Netsim.Transport.Unreliable) ?(link = link) ?cells
+    ?(domains = 1) () =
   let graph, src = probe_app () in
   let config =
     Netsim.Testbed.default_config ~n_nodes ~duration ~seed
-      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ~sched
-      ?cells ~domains ()
+      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ?cells
+      ~domains ()
   in
   let sources =
     [
@@ -45,12 +45,12 @@ let speech = lazy (Apps.Speech.build ())
 
 let run_speech ?(faults = Netsim.Faults.none)
     ?(transport = Netsim.Transport.Unreliable) ?(duration = 60.) ?(seed = 5)
-    ?(rate_mult = 1.0) ?(sched = Netsim.Sched.Heap) ~cut () =
+    ?(rate_mult = 1.0) ~cut () =
   let t = Lazy.force speech in
   let assignment = Apps.Speech.cut_assignment t cut in
   let config =
     Netsim.Testbed.default_config ~n_nodes:1 ~duration ~seed
-      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ~sched ()
+      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ()
   in
   Netsim.Testbed.run config ~graph:t.Apps.Speech.graph
     ~node_of:(fun i -> assignment.(i))
@@ -100,28 +100,10 @@ let test_regression_speech_cut4 () =
     ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:1 ~psent:4169 ~coll:2
     ~chan:125 ~queue:31810 ~sink:1 ~busy:0.485937500
 
-(* ---- scale-out: wheel scheduler / domain sharding bit-identical ---- *)
+(* ---- scale-out: domain sharding bit-identical ---- *)
 
-let test_wheel_probe_1n () =
-  check_counters "wheel probe 1n r10"
-    (run_probe ~n_nodes:1 ~rate:10. ~sched:Netsim.Sched.Wheel ())
-    ~offered:300 ~processed:300 ~msent:300 ~mrecv:270 ~psent:1200 ~coll:0
-    ~chan:29 ~queue:0 ~sink:270 ~busy:0.030020125
-
-let test_wheel_probe_20n () =
-  check_counters "wheel probe 20n r4"
-    (run_probe ~n_nodes:20 ~rate:4. ~sched:Netsim.Sched.Wheel ())
-    ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:300 ~psent:2508
-    ~coll:569 ~chan:61 ~queue:7171 ~sink:300 ~busy:0.012005529
-
-let test_wheel_speech_cut4 () =
-  check_counters "wheel speech cut4"
-    (run_speech ~cut:4 ~sched:Netsim.Sched.Wheel ())
-    ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:1 ~psent:4169 ~coll:2
-    ~chan:125 ~queue:31810 ~sink:1 ~busy:0.485937500
-
-(* every result field, floats compared bit-for-bit: scheduler choice
-   and domain count must not move a single ULP *)
+(* every result field, floats compared bit-for-bit: the domain count
+   must not move a single ULP *)
 let check_same_result name (a : Netsim.Testbed.result)
     (b : Netsim.Testbed.result) =
   let ck what = Alcotest.(check int) (name ^ ": " ^ what) in
@@ -168,30 +150,16 @@ let heavy_faults =
     reboot_s = 2.;
     clock_drift = 50e-6 }
 
-let test_wheel_equals_heap_under_faults () =
-  let go sched =
-    run_probe ~n_nodes:8 ~rate:6. ~seed:11 ~faults:heavy_faults
-      ~transport:(Netsim.Transport.default_reliable ())
-      ~sched ()
-  in
-  check_same_result "heap vs wheel, faults + reliable"
-    (go Netsim.Sched.Heap) (go Netsim.Sched.Wheel)
-
 let test_domains_identical () =
   let cells = Array.init 12 (fun i -> i / 4) in
-  let go ~sched ~domains =
+  let go ~domains =
     run_probe ~n_nodes:12 ~rate:4. ~seed:13 ~faults:heavy_faults
       ~transport:(Netsim.Transport.default_reliable ())
-      ~sched ~cells ~domains ()
+      ~cells ~domains ()
   in
-  let base = go ~sched:Netsim.Sched.Wheel ~domains:1 in
-  check_same_result "wheel domains 1 vs 2" base
-    (go ~sched:Netsim.Sched.Wheel ~domains:2);
-  check_same_result "wheel domains 1 vs 4" base
-    (go ~sched:Netsim.Sched.Wheel ~domains:4);
-  (* the cell decomposition is scheduler-independent too *)
-  check_same_result "wheel vs heap, 3 cells, domains 2" base
-    (go ~sched:Netsim.Sched.Heap ~domains:2)
+  let base = go ~domains:1 in
+  check_same_result "domains 1 vs 2" base (go ~domains:2);
+  check_same_result "domains 1 vs 4" base (go ~domains:4)
 
 (* ---- fault injection ---- *)
 
@@ -542,15 +510,8 @@ let () =
           tc "probe app, 20 nodes" test_regression_probe_20n;
           tc "speech cut 4" test_regression_speech_cut4;
         ] );
-      ( "scale-out (wheel + domains bit-identical)",
-        [
-          tc "wheel re-pins probe 1n" test_wheel_probe_1n;
-          tc "wheel re-pins probe 20n" test_wheel_probe_20n;
-          tc "wheel re-pins speech cut4" test_wheel_speech_cut4;
-          tc "heap = wheel under faults + reliable"
-            test_wheel_equals_heap_under_faults;
-          tc "domains 1/2/4 identical" test_domains_identical;
-        ] );
+      ( "scale-out (cells + domains bit-identical)",
+        [ tc "domains 1/2/4 identical" test_domains_identical ] );
       ( "fault injection",
         [
           tc "burst loss degrades reception" test_burst_loss_degrades;

@@ -572,28 +572,6 @@ let prop_sparse_matches_dense =
           status_agrees seed "warm" sw.Simplex.status dw.Simplex.status
       | _ -> true)
 
-(* The pricing rules explore different pivot sequences but must land
-   on the same optimum: devex (the default) against the candidate-list
-   Dantzig rule, cold and warm-started from the devex basis. *)
-let prop_devex_matches_dantzig =
-  QCheck.Test.make ~count:1000 ~name:"devex and dantzig pricing agree"
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let p = Check.Gen.lp rng ~size:(3 + (seed mod 26)) in
-      let data = Sparse.of_problem p in
-      let dv = { Simplex.default_options with pricing = Simplex.Devex } in
-      let dz = { Simplex.default_options with pricing = Simplex.Dantzig } in
-      let a = Sparse.solve_warm ~options:dv data in
-      let b = Sparse.solve_warm ~options:dz data in
-      status_agrees seed "dantzig-cold" b.Simplex.status a.Simplex.status
-      &&
-      match a.Simplex.basis with
-      | Some warm when Solution.is_optimal a.Simplex.status ->
-          let w = Sparse.solve_warm ~options:dz ~warm data in
-          status_agrees seed "dantzig-warm" w.Simplex.status a.Simplex.status
-      | _ -> true)
-
 (* Forrest–Tomlin updates against a fresh refactorisation of the same
    basis: random sparse CSC with an identity head (so a nonsingular
    start exists), a run of random column replacements through
@@ -1033,50 +1011,6 @@ let test_delta_bounds_roundtrip () =
   Alcotest.(check bool) "materialised arrays are copies" true
     (lo0.(0) = 0. && hi0.(0) = 5.)
 
-(* ---- work-stealing schedule ---- *)
-
-(* The steal schedule explores in timing-dependent order but must land
-   on the same optimum as the deterministic wave schedule, for any
-   worker count and either LP engine. *)
-let prop_steal_bb_same_optimum =
-  QCheck.Test.make ~count:120
-    ~name:"work-stealing B&B optimum matches wave schedule"
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let p = Check.Gen.ilp rng ~size:(3 + (seed mod 10)) in
-      let base, _ = solve_with ~workers:1 ~solver:Branch_bound.Dense p in
-      List.for_all
-        (fun (workers, solver, tag) ->
-          let options =
-            {
-              Branch_bound.default_options with
-              Branch_bound.schedule = Branch_bound.Steal;
-              workers;
-              solver;
-            }
-          in
-          let st, _ = Branch_bound.solve ~options p in
-          match (st, base) with
-          | Solution.Optimal a, Solution.Optimal b ->
-              let tol = 1e-6 *. Float.max 1. (Float.abs b.objective) in
-              if Float.abs (a.objective -. b.objective) > tol then
-                QCheck.Test.fail_reportf "seed %d: %s=%.9g base=%.9g" seed tag
-                  a.objective b.objective
-              else if Problem.constraint_violation p a.x > 1e-5 then
-                QCheck.Test.fail_reportf "seed %d: %s infeasible" seed tag
-              else true
-          | Solution.Infeasible, Solution.Infeasible -> true
-          | Solution.Iteration_limit, _ | _, Solution.Iteration_limit -> true
-          | a, b ->
-              QCheck.Test.fail_reportf "seed %d: %s=%a base=%a" seed tag
-                Solution.pp_status a Solution.pp_status b)
-        [
-          (1, Branch_bound.Dense, "steal-dense-w1");
-          (2, Branch_bound.Dense, "steal-dense-w2");
-          (4, Branch_bound.Sparse_revised, "steal-sparse-w4");
-        ])
-
 (* ---- pqueue ---- *)
 
 
@@ -1436,7 +1370,6 @@ let () =
           tc "basis round-trip" test_sparse_basis_roundtrip;
           tc "session bit-identical" test_sparse_session_identical;
           QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
-          QCheck_alcotest.to_alcotest prop_devex_matches_dantzig;
         ] );
       ( "factor",
         [
@@ -1449,7 +1382,6 @@ let () =
           tc "deterministic" test_parallel_bb_deterministic;
           tc "delta bounds round-trip" test_delta_bounds_roundtrip;
           QCheck_alcotest.to_alcotest prop_parallel_bb_same_optimum;
-          QCheck_alcotest.to_alcotest prop_steal_bb_same_optimum;
         ] );
       ( "presolve",
         [

@@ -33,88 +33,6 @@ let run ?(n_nodes = 1) ?(duration = 30.) ?(rate = 2.) ?(payload = 20)
   in
   Netsim.Testbed.run config ~graph ~node_of:(fun i -> i = src) ~sources
 
-(* ---- scheduler: wheel total order = (time, push seq) ---- *)
-
-let drain s =
-  let out = ref [] in
-  while Netsim.Sched.pop s do
-    out := (Netsim.Sched.time s, Netsim.Sched.event s) :: !out
-  done;
-  List.rev !out
-
-let test_sched_wheel_sorted () =
-  (* random times spanning lv0, lv1 and the overflow bucket; expect a
-     stable sort by time (FIFO on equal timestamps) *)
-  let rng = Prng.create 42 in
-  let s = Netsim.Sched.create ~kind:Netsim.Sched.Wheel ~tick:1e-3 () in
-  let evs =
-    List.init 500 (fun i ->
-        let t =
-          match Prng.int rng 4 with
-          | 0 -> Prng.float rng *. 0.25 (* lv0 frame *)
-          | 1 -> Prng.float rng *. 60. (* lv1 frame *)
-          | 2 -> 1000. +. (Prng.float rng *. 1000.) (* overflow *)
-          | _ -> Float.of_int (Prng.int rng 20) *. 0.125 (* exact ties *)
-        in
-        (t, i))
-  in
-  List.iter (fun (t, e) -> Netsim.Sched.push s t e) evs;
-  Alcotest.(check int) "length" 500 (Netsim.Sched.length s);
-  let expect =
-    List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2) evs
-  in
-  Alcotest.(check (list (pair (float 0.) int))) "stable time order"
-    expect (drain s)
-
-let test_sched_wheel_matches_heap () =
-  (* distinct keys: both kinds must pop the identical sequence *)
-  let rng = Prng.create 9 in
-  let evs = List.init 300 (fun i -> ((Prng.float rng *. 300.) +. 1e-9, i)) in
-  let go kind =
-    let s = Netsim.Sched.create ~kind () in
-    List.iter (fun (t, e) -> Netsim.Sched.push s t e) evs;
-    drain s
-  in
-  Alcotest.(check (list (pair (float 0.) int)))
-    "heap and wheel agree"
-    (go Netsim.Sched.Heap) (go Netsim.Sched.Wheel)
-
-let test_sched_wheel_interleaved () =
-  (* simulation-shaped usage: each pop schedules followers at or after
-     the popped time; compare against a reference stable sort *)
-  let rng = Prng.create 77 in
-  let s = Netsim.Sched.create ~kind:Netsim.Sched.Wheel ~tick:1e-4 () in
-  let seq = ref 0 in
-  let pushed = ref [] in
-  let push t =
-    Netsim.Sched.push s t !seq;
-    pushed := (t, !seq) :: !pushed;
-    incr seq
-  in
-  for _ = 1 to 50 do
-    push (Prng.float rng *. 10.)
-  done;
-  let popped = ref [] in
-  while Netsim.Sched.pop s do
-    let t = Netsim.Sched.time s in
-    popped := (t, Netsim.Sched.event s) :: !popped;
-    if !seq < 400 then begin
-      (* two followers: one at the popped instant (tie), one later *)
-      push t;
-      push (t +. (Prng.float rng *. 5.))
-    end
-  done;
-  let expect =
-    List.stable_sort
-      (fun (t1, s1) (t2, s2) ->
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c else Int.compare s1 s2)
-      (List.rev !pushed)
-  in
-  Alcotest.(check (list (pair (float 0.) int)))
-    "interleaved push/pop keeps the total order"
-    expect (List.rev !popped)
-
 (* ---- link arithmetic ---- *)
 
 let test_link_packets_of_bytes () =
@@ -292,13 +210,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netsim"
     [
-      ( "sched",
-        [
-          tc "wheel pops in stable (time, seq) order" test_sched_wheel_sorted;
-          tc "wheel matches heap on distinct keys"
-            test_sched_wheel_matches_heap;
-          tc "interleaved push/pop total order" test_sched_wheel_interleaved;
-        ] );
       ( "link",
         [
           tc "fragmentation" test_link_packets_of_bytes;

@@ -377,57 +377,6 @@ let test_multirun_three_tier_e2e () =
   Alcotest.(check int) "fresh crossing queued" 1
     (Runtime.Multirun.link_queued mr 0)
 
-(* ---- work-stealing frontier on the EEG instances ------------------- *)
-
-(* The opt-in [Steal] schedule races per-worker frontiers, so node
-   exploration order is timing-dependent — but the optimum it returns
-   must match the deterministic [Wave] baseline for any worker count.
-   Pinned on the two EEG placement encodings at each instance's own
-   maximum feasible rate (found by the placement rate search), where
-   the branch & bound tree is non-trivial but solves well inside the
-   default budget. *)
-let test_steal_eeg () =
-  let solve_obj ~schedule ~workers problem =
-    let options =
-      { Lp.Branch_bound.default_options with Lp.Branch_bound.schedule; workers }
-    in
-    match Lp.Branch_bound.solve ~options problem with
-    | Lp.Solution.Optimal o, _ -> o.Lp.Solution.objective
-    | _ -> Alcotest.fail "expected optimal placement ILP"
-  in
-  let instance name ~n_channels =
-    let raw = Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels ()) in
-    let spec =
-      match
-        Spec.of_profile ~mode:Movable.Permissive
-          ~node_platform:Profiler.Platform.tmote_sky raw
-      with
-      | Ok s -> s
-      | Error m -> Alcotest.failf "%s spec: %s" name m
-    in
-    let rate =
-      match Rate_search.search_placement (Placement.of_spec spec) with
-      | Some r -> r.Rate_search.placement_multiplier
-      | None -> Alcotest.failf "%s: rate search found no feasible rate" name
-    in
-    let pl = Placement.of_spec (Spec.scale_rate spec rate) in
-    let c = Preprocess.contract pl.Placement.spec in
-    let enc = Placement.encode Placement.Restricted pl c in
-    let problem = enc.Placement.problem in
-    let reference =
-      solve_obj ~schedule:Lp.Branch_bound.Wave ~workers:1 problem
-    in
-    List.iter
-      (fun workers ->
-        let obj = solve_obj ~schedule:Lp.Branch_bound.Steal ~workers problem in
-        feq ~tol:1e-9
-          (Printf.sprintf "%s steal w=%d matches wave optimum" name workers)
-          reference obj)
-      [ 1; 2; 4 ]
-  in
-  instance "eeg14" ~n_channels:14;
-  instance "eeg22" ~n_channels:22
-
 (* ---- hand-checked Y (tree) fixture -------------------------------- *)
 
 (* Two independent sensing branches share the microserver -> root
@@ -859,9 +808,5 @@ let () =
           Alcotest.test_case "testbed routing star" `Quick test_testbed_star;
           Alcotest.test_case "presolved eeg14 star is the chain" `Quick
             test_presolve_star_is_chain;
-        ] );
-      ( "steal",
-        [
-          Alcotest.test_case "eeg optima match wave" `Slow test_steal_eeg;
         ] );
     ]
