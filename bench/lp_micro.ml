@@ -1,209 +1,145 @@
-(* LP warm-start micro-benchmark: the EEG rate search (the paper's
-   §7.2 hot path — every bracket/bisection step is a full ILP solve)
-   run twice, cold (every branch & bound node pays a fresh two-phase
-   primal solve, no incumbent carried between rate steps) vs warm
-   (parent-basis dual simplex re-solves + incremental rate search).
+(* LP micro-benchmark: the EEG rate search (the paper's §7.2 hot path —
+   every bracket/bisection step is a full ILP solve, child LPs
+   warm-started from the parent basis, incumbent and root basis carried
+   between rate steps), then a fixed-rate re-solve at the rate found.
 
-   Prints total simplex pivots and wall time for both modes and
-   writes BENCH_lp.json at the repo root so later PRs have a perf
-   baseline to regress against:
+   Prints total simplex pivots, factorisation work and wall time, and
+   writes BENCH_lp.json at the repo root as the regression baseline:
 
-     dune exec bench/main.exe -- lp        -- default 22-channel EEG
+     dune exec bench/main.exe -- lp        -- default 14-channel EEG
      dune exec bench/main.exe -- lp 8      -- smaller instance *)
 
-type mode_result = {
+type work = {
   pivots : int;
-  lp_solves : int;
-  hot_solves : int;
   refactorisations : int;
   ft_updates : int;
   ft_entries : int;
   wall_s : float;
-  rate : float;
 }
 
-let run_mode ~label ~warm spec =
-  let options =
-    {
-      Wishbone.Rate_search.default_search_options with
-      Lp.Branch_bound.warm_start = warm;
-    }
-  in
+(* run [f] and measure the process-wide LP work it did *)
+let measured f =
   let p0 = Lp.Simplex.cumulative_pivots () in
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
-  let result =
-    Wishbone.Rate_search.search_placement ~incremental:warm ~options
-      (Wishbone.Placement.of_spec spec)
-  in
+  let r = f () in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let pivots = Lp.Simplex.cumulative_pivots () - p0 in
   let c1 = Lp.Sparse.counters () in
-  let lp_solves, hot_solves, rate =
-    match result with
-    | Some r ->
-        let solver = r.Wishbone.Rate_search.placement_report.solver in
-        ( solver.Lp.Branch_bound.lp_solves,
-          solver.Lp.Branch_bound.hot_solves,
-          r.Wishbone.Rate_search.placement_multiplier )
-    | None -> (0, 0, nan)
-  in
-  Bench_util.row "%-6s %10d pivots  %8.3f s  rate x%.4f\n" label pivots wall_s
-    rate;
-  {
-    pivots;
-    lp_solves;
-    hot_solves;
-    refactorisations =
-      c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
-    ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
-    ft_entries = c1.Lp.Sparse.ft_entries - c0.Lp.Sparse.ft_entries;
-    wall_s;
-    rate;
-  }
-
-(* Fixed-rate comparison: partition the same scaled instance once with
-   warm starts and once without, under a budget generous enough that
-   both finish.  Same problem in, same partition out — this isolates
-   the solver speedup from the rate search's budget dynamics. *)
-type resolve_result = {
-  r_pivots : int;
-  r_refactorisations : int;
-  r_ft_updates : int;
-  r_wall_s : float;
-  objective : float;
-}
-
-let resolve_at ~warm spec rate =
-  let scaled = Wishbone.Spec.scale_rate spec rate in
-  let options =
+  ( r,
     {
-      Wishbone.Rate_search.default_search_options with
-      Lp.Branch_bound.warm_start = warm;
-      time_limit = 120.;
-    }
-  in
-  let p0 = Lp.Simplex.cumulative_pivots () in
-  let c0 = Lp.Sparse.counters () in
-  let t0 = Unix.gettimeofday () in
-  match
-    Wishbone.Placement.solve ~options (Wishbone.Placement.of_spec scaled)
-  with
-  | Wishbone.Placement.Partitioned r ->
-      let c1 = Lp.Sparse.counters () in
-      Some
-        {
-          r_pivots = Lp.Simplex.cumulative_pivots () - p0;
-          r_refactorisations =
-            c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
-          r_ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
-          r_wall_s = Unix.gettimeofday () -. t0;
-          objective = r.Wishbone.Placement.objective;
-        }
-  | _ -> None
+      pivots = Lp.Simplex.cumulative_pivots () - p0;
+      refactorisations =
+        c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
+      ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
+      ft_entries = c1.Lp.Sparse.ft_entries - c0.Lp.Sparse.ft_entries;
+      wall_s;
+    } )
 
-let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
-    ~(rc : resolve_result option) ~(rw : resolve_result option) =
+let work_json w =
+  Printf.sprintf
+    "\"total_pivots\": %d, \"refactorisations\": %d, \"ft_updates\": %d, \
+     \"ft_entries\": %d, \"wall_s\": %.6f"
+    w.pivots w.refactorisations w.ft_updates w.ft_entries w.wall_s
+
+let write_json ~n_channels ~search ~lp_solves ~rate ~resolve =
+  let cores = Domain.recommended_domain_count () in
   let oc = open_out "BENCH_lp.json" in
-  let mode name (r : mode_result) =
-    Printf.sprintf
-      "  \"%s\": {\"total_pivots\": %d, \"final_solve_lps\": %d, \
-       \"final_solve_hot_lps\": %d, \"refactorisations\": %d, \
-       \"ft_updates\": %d, \"ft_entries\": %d, \"wall_s\": %.6f, \
-       \"rate_multiplier\": %.6f}"
-      name r.pivots r.lp_solves r.hot_solves r.refactorisations r.ft_updates
-      r.ft_entries r.wall_s r.rate
-  in
-  let resolve name = function
-    | Some r ->
-        Printf.sprintf
-          "  \"resolve_%s\": {\"pivots\": %d, \"refactorisations\": %d, \
-           \"ft_updates\": %d, \"wall_s\": %.6f, \"objective\": %.6f}"
-          name r.r_pivots r.r_refactorisations r.r_ft_updates r.r_wall_s
-          r.objective
-    | None -> Printf.sprintf "  \"resolve_%s\": null" name
+  let resolve =
+    match resolve with
+    | Some (w, objective) ->
+        Printf.sprintf "{%s, \"objective\": %.6f}" (work_json w) objective
+    | None -> "null"
   in
   Printf.fprintf oc
     "{\n\
-    \  \"benchmark\": \"eeg_rate_search_warm_vs_cold\",\n\
+    \  \"benchmark\": \"eeg_rate_search\",\n\
     \  \"n_channels\": %d,\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-    \  \"pivot_ratio\": %.3f,\n\
-    \  \"speedup\": %.3f\n\
+    \  \"cores\": %d,\n\
+    \  \"search\": {%s, \"final_solve_lps\": %d, \"rate_multiplier\": %.6f},\n\
+    \  \"resolve\": %s\n\
      }\n"
-    n_channels (mode "cold" cold) (mode "warm" warm) (resolve "cold" rc)
-    (resolve "warm" rw)
-    (Float.of_int cold.pivots /. Float.max 1. (Float.of_int warm.pivots))
-    (cold.wall_s /. Float.max 1e-9 warm.wall_s);
+    n_channels cores (work_json search) lp_solves rate resolve;
   close_out oc
 
-(* CI smoke: partition the speech and eeg14 instances with the dense
-   tableau and with the sparse revised simplex forced (devex pricing
-   over the Forrest–Tomlin factor path), and fail loudly if the two
-   engines disagree on the objective, or if the sparse run never
-   refactorised (meaning the LU path silently did not run).  Kept
-   small enough that the CI step's wall-clock ceiling (see
+(* CI smoke: partition the speech and eeg14 instances and check both
+   answers against ground truth.  The returned point must satisfy
+   every row and be integral, and its objective must equal the pinned
+   value and the optimum of the LP relaxation over the presolved box,
+   which Check.Certificate certifies independently of the solver — so
+   the point is a certified optimum of the ILP.  The eeg14 run must also refactorise
+   at least once, which shows that the LU path really ran.  Kept small
+   enough that the CI step's wall-clock ceiling (see
    .github/workflows/ci.yml) catches any solver-path regression that
    turns sub-second solves into minutes. *)
 let smoke () =
-  Bench_util.header "bench smoke: dense vs sparse LP engines, speech + eeg14";
-  let run name rate spec =
-    let spec = Wishbone.Spec.scale_rate spec rate in
-    let solve solver =
-      let options = { Lp.Branch_bound.default_options with solver } in
-      let t0 = Unix.gettimeofday () in
-      match
-        Wishbone.Placement.solve ~options (Wishbone.Placement.of_spec spec)
-      with
-      | Wishbone.Placement.Partitioned r ->
-          (r.Wishbone.Placement.objective, Unix.gettimeofday () -. t0)
-      | Wishbone.Placement.No_feasible_partition ->
-          Printf.eprintf "smoke %s: unexpectedly infeasible\n" name;
-          exit 1
-      | Wishbone.Placement.Solver_failure m ->
-          Printf.eprintf "smoke %s: solver failure: %s\n" name m;
-          exit 1
+  Bench_util.header "bench smoke: sparse LP against certificate, speech + eeg14";
+  let run name rate spec ~expect ~refactorises =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Printf.eprintf "smoke %s: %s\n" name m;
+          exit 1)
+        fmt
     in
-    let od, td = solve Lp.Branch_bound.Dense in
+    let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
+    let enc =
+      Wishbone.Placement.encode Wishbone.Placement.Restricted pl
+        (Wishbone.Preprocess.contract pl.Wishbone.Placement.spec)
+    in
+    let problem = enc.Wishbone.Placement.problem in
     let c0 = Lp.Sparse.counters () in
-    let os, ts = solve Lp.Branch_bound.Sparse_revised in
+    let t0 = Unix.gettimeofday () in
+    let sol =
+      match Lp.Branch_bound.solve problem with
+      | Lp.Solution.Optimal sol, _ -> sol
+      | s, _ -> fail "%s" (Format.asprintf "%a" Lp.Solution.pp_status s)
+    in
+    let dt = Unix.gettimeofday () -. t0 in
     let c1 = Lp.Sparse.counters () in
-    Bench_util.row "%-8s dense %12.6f (%6.3f s)   sparse %12.6f (%6.3f s)\n"
-      name od td os ts;
-    let agree a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a) in
-    if not (agree od os) then (
-      Printf.eprintf "smoke %s: engines disagree: dense %.9g sparse %.9g\n"
-        name od os;
-      exit 1);
-    if c1.Lp.Sparse.refactorisations <= c0.Lp.Sparse.refactorisations then (
-      Printf.eprintf
-        "smoke %s: sparse run never refactorised — LU path did not run\n"
-        name;
-      exit 1)
+    (* the LP relaxation over the presolved box, whose integer bounds
+       are rounded: still a relaxation of the ILP *)
+    let lo, hi = Lp.Presolve.bounds (Lp.Presolve.run problem) in
+    let relax = Lp.Sparse.solve_warm ~lo ~hi (Lp.Sparse.of_problem problem) in
+    let verdict = Check.Certificate.check_result ~lo ~hi problem relax in
+    Bench_util.row "%-8s objective %12.6f (%6.3f s)  LP certificate %s\n" name
+      sol.objective dt
+      (Format.asprintf "%a" Check.Certificate.pp_verdict verdict);
+    let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs b) in
+    if verdict <> Check.Certificate.Valid then fail "certificate rejected";
+    if Lp.Problem.constraint_violation problem sol.x > 1e-6 then
+      fail "returned point violates a row";
+    if
+      List.exists
+        (fun v -> Float.abs (sol.x.(v) -. Float.round sol.x.(v)) > 1e-6)
+        (Lp.Problem.integer_vars problem)
+    then fail "returned point is not integral";
+    (match relax.Lp.Simplex.status with
+    | Lp.Solution.Optimal r when close r.objective sol.objective -> ()
+    | _ -> fail "objective %.9g is not the certified LP optimum" sol.objective);
+    if not (close sol.objective expect) then
+      fail "objective %.9g, expected %g" sol.objective expect;
+    if
+      refactorises
+      && c1.Lp.Sparse.refactorisations <= c0.Lp.Sparse.refactorisations
+    then fail "never refactorised — LU path did not run"
   in
-  run "speech" 0.05
+  run "speech" 0.05 ~expect:260. ~refactorises:false
     (Bench_util.spec_exn ~platform:Profiler.Platform.tmote_sky
        (Lazy.force Bench_util.speech_profile));
-  run "eeg14" 1.0
+  run "eeg14" 1.0 ~expect:84. ~refactorises:true
     (Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
        ~platform:Profiler.Platform.tmote_sky
        (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ())));
   Bench_util.row "smoke ok\n"
 
-(* Default to 14 channels: the largest EEG instance where neither mode
-   hits the rate search's 10 s per-attempt solver budget, so cold and
-   warm provably agree on the found rate and the comparison is
-   apples-to-apples.  At 22 channels the warm search proves feasibility
-   at rates the cold search's budget cannot reach (run [lp 22] to see
-   it win outright). *)
+(* Default to 14 channels: the largest EEG instance whose search stays
+   clear of the rate search's per-probe budget of 5000 branch & bound
+   nodes, so the rate found is the true maximum (up to the search
+   tolerance).  At 22 channels probes near the boundary exhaust that
+   budget and the search returns a certified lower bound instead. *)
 let run ?(n_channels = 14) () =
   Bench_util.header
-    (Printf.sprintf
-       "LP micro: warm-started dual simplex vs cold solves, %d-channel EEG \
-        rate search"
+    (Printf.sprintf "LP micro: warm-started %d-channel EEG rate search"
        n_channels);
   Bench_util.paper_vs
     "MILP folklore: warm-starting child LPs from the parent basis is worth \
@@ -213,32 +149,36 @@ let run ?(n_channels = 14) () =
     Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
       ~platform:Profiler.Platform.tmote_sky raw
   in
-  let cold = run_mode ~label:"cold" ~warm:false spec in
-  let warm = run_mode ~label:"warm" ~warm:true spec in
-  let ratio =
-    Float.of_int cold.pivots /. Float.max 1. (Float.of_int warm.pivots)
+  let result, search =
+    measured (fun () ->
+        Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec))
   in
-  Bench_util.row "pivot reduction: %.1fx  (wall-clock %.1fx, %d/%d final \
-                  LPs hot)\n"
-    ratio
-    (cold.wall_s /. Float.max 1e-9 warm.wall_s)
-    warm.hot_solves warm.lp_solves;
-  (* fixed-rate re-solve at the cold search's found rate: both modes
-     complete, partitions are identical, only the work differs *)
-  let rc, rw =
-    if Float.is_nan cold.rate then (None, None)
+  let lp_solves, rate =
+    match result with
+    | Some r ->
+        ( r.Wishbone.Rate_search.placement_report.solver.Lp.Branch_bound
+            .lp_solves,
+          r.Wishbone.Rate_search.placement_multiplier )
+    | None -> (0, nan)
+  in
+  Bench_util.row "search  %10d pivots  %8.3f s  rate x%.4f\n" search.pivots
+    search.wall_s rate;
+  (* fixed-rate re-solve at the found rate, with the search's own
+     per-probe options *)
+  let resolve =
+    if Float.is_nan rate then None
     else
-      let rc = resolve_at ~warm:false spec cold.rate in
-      let rw = resolve_at ~warm:true spec cold.rate in
-      (match (rc, rw) with
-      | Some c, Some w ->
-          Bench_util.row
-            "fixed-rate solve at x%.4f: cold %d pivots %.3f s | warm %d \
-             pivots %.3f s (%.1fx wall)\n"
-            cold.rate c.r_pivots c.r_wall_s w.r_pivots w.r_wall_s
-            (c.r_wall_s /. Float.max 1e-9 w.r_wall_s)
-      | _ -> ());
-      (rc, rw)
+      match
+        measured (fun () ->
+            Wishbone.Placement.solve
+              ~options:Wishbone.Rate_search.default_search_options
+              (Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate)))
+      with
+      | Wishbone.Placement.Partitioned r, w ->
+          Bench_util.row "fixed-rate solve at x%.4f: %d pivots %.3f s\n" rate
+            w.pivots w.wall_s;
+          Some (w, r.Wishbone.Placement.objective)
+      | _ -> None
   in
-  write_json ~n_channels ~cold ~warm ~rc ~rw;
+  write_json ~n_channels ~search ~lp_solves ~rate ~resolve;
   Bench_util.row "wrote BENCH_lp.json\n"

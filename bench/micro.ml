@@ -31,7 +31,7 @@ let simplex_test () =
   done;
   Lp.Problem.set_objective p Lp.Problem.Maximize
     (Array.to_list (Array.map (fun v -> (v, Prng.uniform rng 0. 5.)) vars));
-  fun () -> ignore (Lp.Simplex.solve p)
+  fun () -> ignore (Lp.Sparse.solve p)
 
 let fft_test () =
   let rng = Prng.create 6 in

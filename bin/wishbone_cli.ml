@@ -430,15 +430,14 @@ let partition_cmd =
   (* process-wide solver work counters, reset at solve entry: the
      verbose tail of the report, for eyeballing the effect of
      --workers and the budgets on actual work done *)
-  let report_counters ~fb0 (stats : Lp.Branch_bound.stats) =
+  let report_counters (stats : Lp.Branch_bound.stats) =
     let c = Lp.Sparse.counters () in
     Printf.printf
       "solver counters: %d pivots, %d refactorisations, %d FT updates (%d \
-       entries), %d dense fallbacks\n"
+       entries), %d retries\n"
       (Lp.Simplex.cumulative_pivots ())
       c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
-      c.Lp.Sparse.ft_entries
-      (Lp.Sparse.dense_fallbacks () - fb0);
+      c.Lp.Sparse.ft_entries c.Lp.Sparse.retries;
     (* per-solve, from the returned report's own stats *)
     Format.printf "presolve: %a@." Lp.Presolve.pp_stats
       stats.Lp.Branch_bound.presolve
@@ -479,7 +478,6 @@ let partition_cmd =
     in
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
-    let fb0 = Lp.Sparse.dense_fallbacks () in
     let b = build_app app in
     let raw = b.profile ~duration in
     let ts =
@@ -519,7 +517,7 @@ let partition_cmd =
         in
         let finish pl (r : Wishbone.Placement.report) =
           Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-          report_counters ~fb0 r.solver;
+          report_counters r.solver;
           report_budget ~objective:r.objective r.solver;
           write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
         in

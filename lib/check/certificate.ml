@@ -8,8 +8,9 @@ let pp_verdict ppf = function
            Format.pp_print_string)
         msgs
 
-(* Dense Gaussian elimination with partial pivoting.  [a] is m x m and
-   is consumed; returns None when the matrix is numerically singular. *)
+(* Gaussian elimination with partial pivoting over a dense matrix.
+   [a] is m x m and is consumed; returns None when the matrix is
+   numerically singular. *)
 let solve_linear a b =
   let m = Array.length b in
   let x = Array.copy b in
@@ -55,22 +56,19 @@ let solve_linear a b =
     Some x
   end
 
+(* the problem's own bounds, unless overridden *)
+let bounds ?lo ?hi problem =
+  let vars = Lp.Problem.vars problem in
+  let own f = Array.map f vars in
+  ( Option.value lo ~default:(own (fun (v : Lp.Problem.var_info) -> v.lo)),
+    Option.value hi ~default:(own (fun (v : Lp.Problem.var_info) -> v.hi)) )
+
 let check ?(tol = 1e-6) ?lo ?hi problem (sol : Lp.Solution.t)
     (basis : Lp.Basis.t) =
   let n = Lp.Problem.n_vars problem in
   let constrs = Lp.Problem.constrs problem in
   let m = Array.length constrs in
-  let vars = Lp.Problem.vars problem in
-  let lo =
-    match lo with
-    | Some a -> a
-    | None -> Array.map (fun (v : Lp.Problem.var_info) -> v.lo) vars
-  in
-  let hi =
-    match hi with
-    | Some a -> a
-    | None -> Array.map (fun (v : Lp.Problem.var_info) -> v.hi) vars
-  in
+  let lo, hi = bounds ?lo ?hi problem in
   let errs = ref [] in
   let fail fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   if Array.length sol.x <> n then
@@ -266,12 +264,110 @@ let check ?(tol = 1e-6) ?lo ?hi problem (sol : Lp.Solution.t)
     end
   end
 
-let check_result ?tol ?lo ?hi problem (r : Lp.Simplex.result) =
+(* Solve with the LP engine, then certify the answer independently:
+   [Ok objective] only for a certified optimum. *)
+let certified_optimum ~tol ~lo ~hi problem =
+  let r = Lp.Sparse.solve_warm ~lo ~hi (Lp.Sparse.of_problem problem) in
+  match (r.status, r.basis) with
+  | Lp.Solution.Optimal sol, Some b -> (
+      match check ~tol ~lo ~hi problem sol b with
+      | Valid -> Ok sol.objective
+      | Invalid msgs -> Error (String.concat "; " msgs))
+  | status, _ -> Error (Format.asprintf "%a" Lp.Solution.pp_status status)
+
+(* The elastic LP: every row gets nonnegative violation columns
+   ([Le] -e, [Ge] +e, [Eq] +e+ -e-) and the total violation is
+   minimised.  It is always feasible and bounded below by 0; its
+   optimum is 0 exactly when the original rows admit a point in the
+   box. *)
+let elastic ~lo ~hi problem =
+  let p = Lp.Problem.create () in
+  Array.iteri
+    (fun j l -> ignore (Lp.Problem.add_var ~lo:l ~hi:(Float.max l hi.(j)) p))
+    lo;
+  let viol = ref [] in
+  let elastic_var () =
+    let e = Lp.Problem.add_var p in
+    viol := (e, 1.) :: !viol;
+    e
+  in
+  Array.iter
+    (fun (c : Lp.Problem.constr) ->
+      let extra =
+        match c.sense with
+        | Lp.Problem.Le -> [ (elastic_var (), -1.) ]
+        | Lp.Problem.Ge -> [ (elastic_var (), 1.) ]
+        | Lp.Problem.Eq -> [ (elastic_var (), 1.); (elastic_var (), -1.) ]
+      in
+      Lp.Problem.add_constr p (c.terms @ extra) c.sense c.rhs)
+    (Lp.Problem.constrs problem);
+  Lp.Problem.set_objective p Lp.Problem.Minimize !viol;
+  p
+
+let certify_infeasible ~tol ~lo ~hi problem =
+  let conflict = ref false in
+  Array.iteri
+    (fun j l ->
+      if l > hi.(j) +. (tol *. (1. +. Float.abs l)) then conflict := true)
+    lo;
+  if !conflict then Valid (* an empty box needs no LP *)
+  else
+    let p = elastic ~lo ~hi problem in
+    let lo, hi = bounds p in
+    match certified_optimum ~tol ~lo ~hi p with
+    | Ok total when total > tol -> Valid
+    | Ok total ->
+        Invalid
+          [ Printf.sprintf
+              "infeasible verdict, but the elastic LP reaches total \
+               violation %g" total ]
+    | Error why ->
+        Invalid [ "infeasible verdict, elastic LP not certified: " ^ why ]
+
+(* Box every infinite upper bound at [m] and at [2m]: an unbounded LP's
+   boxed optimum must improve with the box, a bounded one's would stay
+   put once the box contains its optimum. *)
+let certify_unbounded ~tol ~lo ~hi problem =
+  if Array.for_all Float.is_finite hi then
+    Invalid [ "unbounded verdict, but every variable is bounded" ]
+  else
+    (* the largest finite bound or right-hand side *)
+    let magnitude =
+      Array.fold_left
+        (fun acc v ->
+          if Float.is_finite v then Float.max acc (Float.abs v) else acc)
+        0.
+        (Array.concat
+           [ Array.map
+               (fun (c : Lp.Problem.constr) -> c.rhs)
+               (Lp.Problem.constrs problem);
+             lo; hi ])
+    in
+    let boxed m = Array.map (fun h -> if Float.is_finite h then h else m) hi in
+    let m = 1e3 *. (1. +. magnitude) in
+    let maximize = Lp.Problem.direction problem = Lp.Problem.Maximize in
+    match
+      ( certified_optimum ~tol ~lo ~hi:(boxed m) problem,
+        certified_optimum ~tol ~lo ~hi:(boxed (2. *. m)) problem )
+    with
+    | Ok small, Ok large ->
+        let gain = if maximize then large -. small else small -. large in
+        if gain > tol *. (1. +. Float.abs small) then Valid
+        else
+          Invalid
+            [ Printf.sprintf
+                "unbounded verdict, but the boxed optimum stays at %g \
+                 when the box doubles" small ]
+    | Error why, _ | _, Error why ->
+        Invalid [ "unbounded verdict, boxed LP not certified: " ^ why ]
+
+let check_result ?(tol = 1e-6) ?lo ?hi problem (r : Lp.Simplex.result) =
+  let lo, hi = bounds ?lo ?hi problem in
   match r.status with
   | Lp.Solution.Optimal sol -> (
       match r.basis with
-      | Some b -> check ?tol ?lo ?hi problem sol b
+      | Some b -> check ~tol ~lo ~hi problem sol b
       | None -> Invalid [ "optimal result carries no basis" ])
-  | Lp.Solution.Infeasible | Lp.Solution.Unbounded
-  | Lp.Solution.Iteration_limit ->
-      Valid
+  | Lp.Solution.Infeasible -> certify_infeasible ~tol ~lo ~hi problem
+  | Lp.Solution.Unbounded -> certify_unbounded ~tol ~lo ~hi problem
+  | Lp.Solution.Iteration_limit -> Valid

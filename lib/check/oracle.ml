@@ -54,11 +54,12 @@ let presolved_root problem (reference : Lp.Simplex.result) =
   | _ -> Pass
 
 let lp_certificate rng problem =
-  let r0 = Lp.Simplex.solve_warm ~keep_hot:true problem in
+  let data = Lp.Sparse.of_problem problem in
+  let r0 = Lp.Sparse.solve_warm data in
   match certified "cold" problem r0 with
   | Error msg -> Fail msg
   | Ok () -> (
-      (* perturb one variable's bounds and re-solve three ways *)
+      (* perturb one variable's bounds and re-solve cold and warm *)
       let n = Lp.Problem.n_vars problem in
       let vars = Lp.Problem.vars problem in
       let lo = Array.map (fun (v : Lp.Problem.var_info) -> v.lo) vars in
@@ -74,76 +75,17 @@ let lp_certificate rng problem =
           (if Float.is_finite hi.(v) then
              hi.(v) -. Prng.uniform rng 0. (0.6 *. span)
            else lo.(v) +. Prng.uniform rng 0. 4.);
-      let cold = Lp.Simplex.solve_warm ~lo ~hi problem in
-      let warm = Lp.Simplex.solve_warm ?warm:r0.basis ~lo ~hi problem in
-      let hot = Lp.Simplex.solve_warm ?hot:r0.hot ~lo ~hi problem in
-      (* the sparse revised simplex (devex pricing over the
-         Forrest–Tomlin factor path) must agree with every dense path,
-         cold and warm-started from a dense basis alike; its bases are
-         certified by the same dense reconstruction *)
-      let sdata = Lp.Sparse.of_problem problem in
-      let sparse_cold = Lp.Sparse.solve_warm ~lo ~hi sdata in
-      let sparse_warm = Lp.Sparse.solve_warm ?warm:r0.basis ~lo ~hi sdata in
-      let runs =
-        [
-          ("cold", cold);
-          ("warm", warm);
-          ("hot", hot);
-          ("sparse-cold", sparse_cold);
-          ("sparse-warm", sparse_warm);
-        ]
+      let cold = Lp.Sparse.solve_warm ~lo ~hi data in
+      let warm = Lp.Sparse.solve_warm ?warm:r0.basis ~lo ~hi data in
+      let runs = [ ("perturbed-cold", cold); ("perturbed-warm", warm) ] in
+      let rec certify_all = function
+        | [] -> presolved_root problem r0
+        | (label, r) :: rest -> (
+            match certified label ~lo ~hi problem r with
+            | Ok () -> certify_all rest
+            | Error msg -> Fail msg)
       in
-      if
-        List.exists
-          (fun (_, (r : Lp.Simplex.result)) ->
-            r.status = Lp.Solution.Iteration_limit)
-          runs
-      then Pass (* inconclusive: a pivot budget ran out *)
-      else begin
-        let mismatch =
-          List.find_opt
-            (fun (_, (r : Lp.Simplex.result)) ->
-              status_tag r.status <> status_tag cold.status)
-            runs
-        in
-        match mismatch with
-        | Some (label, r) ->
-            failf "after bound perturbation, %s solve says %s but cold says %s"
-              label (status_tag r.status) (status_tag cold.status)
-        | None -> (
-            let objective (r : Lp.Simplex.result) =
-              match r.status with
-              | Lp.Solution.Optimal s -> Some s.objective
-              | _ -> None
-            in
-            let bad_obj =
-              match objective cold with
-              | None -> None
-              | Some reference ->
-                  List.find_opt
-                    (fun (_, r) ->
-                      match objective r with
-                      | Some o ->
-                          Float.abs (o -. reference)
-                          > 1e-5 *. (1. +. Float.abs reference)
-                      | None -> false)
-                    runs
-            in
-            match bad_obj with
-            | Some (label, r) ->
-                failf "%s objective %g disagrees with cold %g" label
-                  (Option.get (objective r))
-                  (Option.get (objective cold))
-            | None -> (
-                let rec certify_all = function
-                  | [] -> presolved_root problem r0
-                  | (label, r) :: rest -> (
-                      match certified label ~lo ~hi problem r with
-                      | Ok () -> certify_all rest
-                      | Error msg -> Fail msg)
-                in
-                certify_all runs))
-      end)
+      certify_all runs)
 
 (* ---- oracle 2: branch & bound vs exhaustive enumeration ---- *)
 

@@ -11,18 +11,19 @@ val is_pass : outcome -> bool
 val describe : outcome -> string
 
 val lp_certificate : Prng.t -> Lp.Problem.t -> outcome
-(** Solve the LP relaxation cold (keeping the basis and hot tableau),
-    certify the answer with {!Certificate.check_result}; then perturb
-    one variable's bounds and re-solve five ways: dense cold, dense
-    warm (basis), dense hot (tableau replay), sparse revised simplex
-    cold, and sparse warm-started from the dense basis.  All five must
-    agree on status and, when optimal, on the objective — and every
-    optimal answer must carry a valid certificate.  Finally the
-    unperturbed problem goes through {!Lp.Branch_bound.solve}, which
-    presolves it: its status and objective must match the cold
-    simplex, and its postsolved point and root basis must certify
-    against the {e original} rows under the presolved box
-    ({!Lp.Presolve.bounds}). *)
+(** Ground truth for the LP engine.  Solve the LP relaxation cold with
+    {!Lp.Sparse} and certify the answer with
+    {!Certificate.check_result} — an optimal basis by its dual
+    certificate, an infeasible verdict by the elastic LP, an unbounded
+    one by a growing box.  Then perturb one variable's bounds and
+    re-solve twice, cold and warm-started from the first solve's
+    basis; each answer is certified the same way under the perturbed
+    bounds.  Finally the unperturbed problem goes through
+    {!Lp.Branch_bound.solve}, which presolves it: its status and
+    objective must match the cold solve, and its postsolved point and
+    root basis must certify against the {e original} rows under the
+    presolved box ({!Lp.Presolve.bounds}).  Budget-limited solves are
+    inconclusive and pass. *)
 
 val ilp_brute : Lp.Problem.t -> outcome
 (** Branch & bound versus exhaustive enumeration on a small all-integer

@@ -1,5 +1,5 @@
 (** Simplex basis snapshots: the information needed to warm-start a
-    bounded-variable simplex re-solve (see {!Simplex.solve_warm}).
+    bounded-variable simplex re-solve (see {!Sparse.solve_warm}).
 
     A snapshot records, for the tableau of a particular problem
     instance, which column is basic in each row and at which bound

@@ -1,5 +1,3 @@
-type lp_solver = Auto | Dense | Sparse_revised
-
 type options = {
   max_nodes : int;
   int_tol : float;
@@ -7,9 +5,7 @@ type options = {
   time_limit : float;
   pivot_budget : int;
   on_node : (nodes:int -> pivots:int -> unit) option;
-  warm_start : bool;
   workers : int;
-  solver : lp_solver;
   simplex : Simplex.options;
 }
 
@@ -21,16 +17,9 @@ let default_options =
     time_limit = infinity;
     pivot_budget = max_int;
     on_node = None;
-    warm_start = true;
     workers = 1;
-    solver = Auto;
     simplex = Simplex.default_options;
   }
-
-(* Auto picks the sparse revised simplex once the LP is big enough
-   for the revised machinery to pay for itself; tiny models (fig3,
-   unit fixtures) stay on the dense tableau they were tuned on. *)
-let sparse_threshold = 48
 
 type stats = {
   nodes_explored : int;
@@ -73,10 +62,6 @@ type node = {
   delta : bound_delta;  (* the one bound this node tightened *)
   relax : Solution.t;
   basis : Basis.t option;  (* optimal basis of this node's relaxation *)
-  mutable hot : Simplex.hot option;
-      (* final tableau of this node's relaxation (dense solver only),
-         kept for at most [hot_cache] recent nodes so child LPs can
-         skip refactorisation; dropped tableaus degrade to [basis] *)
 }
 
 let deltas_of_node node =
@@ -84,12 +69,6 @@ let deltas_of_node node =
     match nd.parent with None -> acc | Some p -> go p (nd.delta :: acc)
   in
   go node []
-
-(* How many recent nodes keep their full tableau alive.  Each costs
-   O(rows * cols) floats, so this bounds warm-start memory while still
-   covering best-first search's common case of popping a just-pushed
-   child. *)
-let hot_cache = 4
 
 (* Most fractional integer variable, or [None] when integral within
    [int_tol]: score each candidate by its distance to the nearest
@@ -141,8 +120,6 @@ let lex_smaller (a : float array) (b : float array) =
 type task = {
   t_node : node;
   t_var : int;
-  mutable t_rec : Simplex.result option;
-      (* dense-mode hot-tableau recovery solve, when one was needed *)
   mutable t_down : Simplex.result option;
   mutable t_up : Simplex.result option;
 }
@@ -181,30 +158,17 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
       ignore (Problem.objective p))
     [ problem; work ];
   let int_vars = Problem.integer_vars work in
-  let use_sparse =
-    match options.solver with
-    | Dense -> false
-    | Sparse_revised -> true
-    | Auto -> Problem.n_constrs work >= sparse_threshold
-  in
-  let sdata = if use_sparse then Some (Sparse.of_problem work) else None in
+  let data = Sparse.of_problem work in
   let workers = Int.max 1 options.workers in
   let lp_solves = ref 0 in
-  let hot_solves = ref 0 in
   let pivots = ref 0 in
   let root_b = ref None in
   (* pure LP relaxation solve — no shared counters, so safe from any
      worker domain; accounting happens on the main thread via
      [account] when the result is applied.  [simplex] carries the
      per-solve pivot cap derived from the tree-wide budget. *)
-  let relaxation ?hot ?session ?(simplex = options.simplex) ~warm ~lo ~hi () =
-    let warm, hot = if options.warm_start then (warm, hot) else (None, None) in
-    match sdata with
-    | Some data ->
-        Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ?session data
-    | None ->
-        Simplex.solve_warm ~options:simplex ?warm ?hot
-          ~keep_hot:options.warm_start ~lo ~hi work
+  let relaxation ~session ~simplex ~warm ~lo ~hi =
+    Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ~session data
   in
   (* the tree-wide pivot budget, capped into each LP solve so a single
      relaxation cannot blow through it unboundedly.  With the default
@@ -227,40 +191,10 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
      session last refactorised (the second child of every node)
      restores the snapshotted factorisation instead of rebuilding it.
      Sessions never change results, only the work to reach them. *)
-  let sessions =
-    Array.init workers (fun _ -> Option.map Sparse.session sdata)
-  in
+  let sessions = Array.init workers (fun _ -> Sparse.session data) in
   let account (r : Simplex.result) =
     incr lp_solves;
-    if r.Simplex.hot_used then incr hot_solves;
     pivots := !pivots + r.Simplex.pivots
-  in
-  (* ring of nodes currently holding a hot tableau, newest first *)
-  let hot_nodes = ref [] in
-  let retain_hot node =
-    if node.hot <> None then begin
-      let rest = List.filter (fun o -> o != node) !hot_nodes in
-      let keep, drop =
-        let rec split i = function
-          | [] -> ([], [])
-          | l when i = 0 -> ([], l)
-          | x :: tl ->
-              let k, d = split (i - 1) tl in
-              (x :: k, d)
-        in
-        split (hot_cache - 1) rest
-      in
-      List.iter (fun o -> o.hot <- None) drop;
-      hot_nodes := node :: keep
-    end
-  in
-  (* a node that has been expanded or pruned never needs its tableau
-     again; free the slot for live nodes *)
-  let release_hot node =
-    if node.hot <> None then begin
-      node.hot <- None;
-      hot_nodes := List.filter (fun o -> o != node) !hot_nodes
-    end
   in
   let lo0 = Presolve.lo pre and hi0 = Presolve.hi pre in
   let finish status ~proved ~best_bound ~t_inc ~nodes ~trace =
@@ -268,7 +202,7 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
       {
         nodes_explored = nodes;
         lp_solves = !lp_solves;
-        hot_solves = !hot_solves;
+        hot_solves = 0;
         total_pivots = !pivots;
         time_to_incumbent = t_inc;
         time_total = elapsed ();
@@ -280,10 +214,10 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
       } )
   in
   let root =
-    relaxation ?session:sessions.(0)
+    relaxation ~session:sessions.(0)
       ~simplex:(budgeted_simplex ~remaining:options.pivot_budget)
       ~warm:(Option.bind root_basis (Presolve.restrict_basis pre))
-      ~lo:lo0 ~hi:hi0 ()
+      ~lo:lo0 ~hi:hi0
   in
   account root;
   root_b := Option.map (Presolve.lift_basis pre) root.Simplex.basis;
@@ -301,9 +235,8 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
       let open_nodes : node Heap.Pqueue.t = Heap.Pqueue.create () in
       let root_node =
         { parent = None; delta = no_delta; relax = root_relax;
-          basis = root.Simplex.basis; hot = root.Simplex.hot }
+          basis = root.Simplex.basis }
       in
-      retain_hot root_node;
       Heap.Pqueue.push open_nodes (key_of_relax root_relax) root_node;
       let node_bounds node = materialise ~lo0 ~hi0 (deltas_of_node node) in
       let incumbent = ref None in
@@ -354,36 +287,21 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
                    +. 1e-9
       in
       (* expansion body run by a worker (or inline when [workers = 1]):
-         both children, plus the dense-mode tableau recovery when the
-         node's hot value was evicted.  Writes only into its own task
-         record; [Domain.join] publishes the writes to the applier. *)
-      let run_task ?session ?simplex tk =
+         both children, warm-started from the node's basis.  Writes
+         only into its own task record; [Domain.join] publishes the
+         writes to the applier. *)
+      let run_task ~session ~simplex tk =
         let node = tk.t_node in
         let lo, hi = node_bounds node in
-        let parent_hot =
-          match node.hot with
-          | Some _ as h -> h
-          | None when options.warm_start && sdata = None -> (
-              match relaxation ?simplex ~warm:node.basis ~lo ~hi () with
-              | { Simplex.status = Solution.Optimal _; hot; _ } as r ->
-                  tk.t_rec <- Some r;
-                  hot
-              | r ->
-                  tk.t_rec <- Some r;
-                  None)
-          | None -> None
-        in
         let fl, ce = branch_vals node tk.t_var in
         let hi_down = Array.copy hi in
         hi_down.(tk.t_var) <- fl;
         let lo_up = Array.copy lo in
         lo_up.(tk.t_var) <- ce;
         tk.t_down <-
-          Some (relaxation ?hot:parent_hot ?session ?simplex ~warm:node.basis
-                  ~lo ~hi:hi_down ());
+          Some (relaxation ~session ~simplex ~warm:node.basis ~lo ~hi:hi_down);
         tk.t_up <-
-          Some (relaxation ?hot:parent_hot ?session ?simplex ~warm:node.basis
-                  ~lo:lo_up ~hi ())
+          Some (relaxation ~session ~simplex ~warm:node.basis ~lo:lo_up ~hi)
       in
       let continue = ref true in
       while !continue do
@@ -433,23 +351,21 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
                          the node was pushed, but the incumbent may
                          have improved since; discard without
                          branching *)
-                      if key >= !incumbent_key -. 1e-12 || gap_closed key then
-                        release_hot node
-                      else begin
+                      if not (key >= !incumbent_key -. 1e-12 || gap_closed key)
+                      then begin
                         incr nodes;
                         match
                           fractional_var ~int_tol:options.int_tol int_vars
                             node.relax.x
                         with
                         | None ->
-                            release_hot node;
                             batch := Leaf node :: !batch;
                             incr batch_n
                         | Some v ->
                             batch :=
                               Branch
-                                { t_node = node; t_var = v; t_rec = None;
-                                  t_down = None; t_up = None }
+                                { t_node = node; t_var = v; t_down = None;
+                                  t_up = None }
                               :: !batch;
                             incr batch_n
                       end
@@ -470,26 +386,24 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
         in
         (match tasks with
         | [] -> ()
-        | [ tk ] -> run_task ?session:sessions.(0) ~simplex:wave_simplex tk
+        | [ tk ] -> run_task ~session:sessions.(0) ~simplex:wave_simplex tk
         | tk0 :: rest ->
             let doms =
               List.mapi
                 (fun i tk ->
                   Domain.spawn (fun () ->
-                      run_task ?session:sessions.(i + 1) ~simplex:wave_simplex
+                      run_task ~session:sessions.(i + 1) ~simplex:wave_simplex
                         tk))
                 rest
             in
-            run_task ?session:sessions.(0) ~simplex:wave_simplex tk0;
+            run_task ~session:sessions.(0) ~simplex:wave_simplex tk0;
             List.iter Domain.join doms);
         (* ---- apply results in deterministic batch order ---- *)
         List.iter
           (function
             | Leaf node -> try_incumbent node.relax
             | Branch tk ->
-                (match tk.t_rec with Some r -> account r | None -> ());
                 let node = tk.t_node in
-                release_hot node;
                 let fl, ce = branch_vals node tk.t_var in
                 let apply_child r ~bup ~bval =
                   account r;
@@ -500,10 +414,8 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
                         let child =
                           { parent = Some node;
                             delta = { bvar = tk.t_var; bup; bval };
-                            relax; basis = r.Simplex.basis;
-                            hot = r.Simplex.hot }
+                            relax; basis = r.Simplex.basis }
                         in
-                        retain_hot child;
                         Heap.Pqueue.push open_nodes key child
                       end
                   | Solution.Infeasible -> ()

@@ -1,30 +1,18 @@
 (** Best-first branch & bound for mixed-integer linear programs, with
     warm-started LP re-solves.
 
-    LP relaxations are solved by {!Simplex}; open nodes are kept in a
-    min-heap ordered by relaxation bound so the most promising subtree
-    is explored first (this mirrors how [lp_solve]'s branch-and-bound
-    behaves on the Wishbone formulations and lets us reproduce the
-    paper's Figure 6 "time to discover" vs "time to prove"
-    distinction).
+    LP relaxations are solved by the sparse revised simplex
+    ({!Sparse}); open nodes are kept in a min-heap ordered by
+    relaxation bound so the most promising subtree is explored first
+    (this mirrors how [lp_solve]'s branch-and-bound behaves on the
+    Wishbone formulations and lets us reproduce the paper's Figure 6
+    "time to discover" vs "time to prove" distinction).
 
-    Each node stores the optimal basis of its LP relaxation, and the
-    most recently solved nodes additionally keep their final tableau
-    ({!Simplex.hot}) alive: a child LP then re-solves by cloning the
-    parent tableau and repairing one bound change with a handful of
-    dual pivots — no refactorisation at all.  Nodes whose tableau has
-    been evicted from the small hot ring fall back to refactorising
-    their basis snapshot (once per expansion, shared by both
-    children), and from there to a cold two-phase solve.  Disable with
-    [warm_start = false] to measure the difference (see
-    [bench/lp_micro.ml]).
-
-    LP relaxations run on either the dense tableau ({!Simplex}) or
-    the sparse revised simplex ({!Sparse}); [Auto] picks sparse once
-    the model has enough rows for the revised machinery to pay for
-    itself.  In sparse mode the warm-start vehicle is the basis
-    snapshot alone (refactorising one is cheap), so the hot-tableau
-    ring stays empty.
+    Each node stores the optimal basis of its LP relaxation, and both
+    children re-solve from it: one refactorisation per expansion,
+    shared by the two children through the worker's {!Sparse.session},
+    then a handful of dual pivots to repair the one bound change.
+    Warm starts change the work, not the answer.
 
     With [workers > 1] the search runs in bulk-synchronous waves: up
     to [workers] open nodes are popped per wave, their children solved
@@ -40,18 +28,14 @@
     columns and drops rows, the search runs on the reduced problem,
     and incumbents are lifted back and judged against the original
     problem, so the returned point, objective and root basis are in
-    original space.  [Auto] picks its LP engine from the reduced row
-    count.  When propagation proves the problem infeasible, no LP
-    runs at all.
+    original space.  When propagation proves the problem infeasible,
+    presolve reduces nothing and the root LP runs on the original
+    problem, which settles the verdict ([lp_solves = 1]); answering
+    without any LP is future work.
 
     Statistics record when the final incumbent was found
     ([time_to_incumbent]) separately from when optimality was proved
     ([time_total]). *)
-
-type lp_solver =
-  | Auto  (** sparse for models with >= 48 rows, dense below *)
-  | Dense  (** always the dense tableau ({!Simplex}) *)
-  | Sparse_revised  (** always the sparse revised simplex ({!Sparse}) *)
 
 type options = {
   max_nodes : int;
@@ -80,15 +64,10 @@ type options = {
           the fault-injection hook of the placement service's
           {!Wishbone.Service.Fault_plan}.  [None] (the default) adds
           no work at all. *)
-  warm_start : bool;
-      (** start child LPs from the parent's optimal basis (default
-          [true]; results are identical either way, only pivot counts
-          differ) *)
   workers : int;
       (** concurrent node expansions (default [1] = sequential; values
           below [1] count as [1]); the optimum returned is
           deterministic for any fixed value *)
-  solver : lp_solver;  (** LP engine selection (default [Auto]) *)
   simplex : Simplex.options;
 }
 
@@ -98,9 +77,9 @@ type stats = {
   nodes_explored : int;
   lp_solves : int;
   hot_solves : int;
-      (** LP solves served by replaying a retained parent tableau
-          (subset of [lp_solves]); the rest refactorised a basis
-          snapshot or ran cold *)
+      (** always [0]: kept so that readers of the retired hot-tableau
+          counter (the repository benchmark's [lp.bb.hot_solves])
+          still build *)
   total_pivots : int;
       (** simplex pivots summed over every LP solve of the tree *)
   time_to_incumbent : float;

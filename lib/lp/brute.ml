@@ -28,6 +28,7 @@ let enumerate ?(max_combinations = 2_000_000) problem visit =
     let lo0 = Array.map (fun (v : Problem.var_info) -> v.lo) vars in
     let hi0 = Array.map (fun (v : Problem.var_info) -> v.hi) vars in
     let assignment = Array.map fst ranges in
+    let data = Sparse.of_problem problem in
     let rec go i =
       if i = Array.length int_vars then begin
         let lo = Array.make n 0. and hi = Array.make n 0. in
@@ -39,7 +40,7 @@ let enumerate ?(max_combinations = 2_000_000) problem visit =
             lo.(v) <- x;
             hi.(v) <- x)
           int_vars;
-        visit assignment (Simplex.solve ~lo ~hi problem)
+        visit assignment (Sparse.solve_warm ~lo ~hi data).Simplex.status
       end
       else begin
         let lo, hi = ranges.(i) in

@@ -1,7 +1,7 @@
 (** Exhaustive reference solver for small mixed-integer programs.
 
     Enumerates every integer assignment within the declared bounds and
-    solves the continuous remainder with {!Simplex}.  Exponential —
+    solves the continuous remainder with {!Sparse}.  Exponential —
     intended only as a test oracle for {!Branch_bound} and for the
     partitioner property tests. *)
 

@@ -42,7 +42,7 @@ val factorize :
     place so that [basis.(r)] is the column pivoted at row [r] — the
     caller must rebuild its row map and basic values afterwards.
     Returns [false] when the basis is numerically singular (the
-    factorisation is reset to identity; fall back to a cold or dense
+    factorisation is reset to identity; fall back to a colder
     solve). *)
 
 val ftran : t -> float array -> unit

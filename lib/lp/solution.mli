@@ -1,4 +1,4 @@
-(** Solver results shared by {!Simplex} and {!Branch_bound}. *)
+(** Solver results shared by {!Sparse}, {!Branch_bound} and {!Brute}. *)
 
 type t = {
   x : float array;  (** one entry per problem variable *)

@@ -1,13 +1,8 @@
-(* Sparse revised simplex.  See sparse.mli for the contract; the
-   solve semantics deliberately mirror simplex.ml line for line where
-   they overlap (column layout, equilibration, tolerances, pricing
-   eligibility, ratio-test tie-breaking, dual-repair ladder) so that
-   the two solvers agree bit-for-bit on which bases are optimal and
-   basis snapshots stay interchangeable. *)
+(* Sparse revised simplex.  See sparse.mli for the contract. *)
 
 type cstat = Basis.cstat = At_lower | At_upper | Basic
 
-(* ---- compiled problem: CSC over the dense solver's column layout --- *)
+(* ---- compiled problem: CSC over the tableau column layout ---------- *)
 
 type data = {
   problem : Problem.t;
@@ -18,7 +13,7 @@ type data = {
   ncols : int;  (* n + n_slack + m: artificials are real CSC columns *)
   ptr : int array;  (* ncols + 1 *)
   idx : int array;
-  vs : float array;  (* row-equilibrated values, same scales as dense *)
+  vs : float array;  (* row-equilibrated values *)
   rhs0 : float array;  (* equilibrated rhs, before the lower-bound shift *)
   cobj : float array;  (* structural costs in minimize space, length n *)
   minimize : bool;
@@ -56,7 +51,7 @@ let of_problem problem =
   let slack_idx = ref n in
   Array.iteri
     (fun i (c : Problem.constr) ->
-      (* sum duplicate terms, exactly as the dense row fill does *)
+      (* sum duplicate terms *)
       let n_touched = ref 0 in
       List.iter
         (fun (v, coef) ->
@@ -80,8 +75,8 @@ let of_problem problem =
             Some (s, -1.)
         | Eq -> None
       in
-      (* row equilibration: same norm and threshold as the dense
-         build (slack included, artificial not) *)
+      (* row equilibration: scale by the row's largest magnitude
+         (slack included, artificial not) when it is far from 1 *)
       let norm = ref 0. in
       for t = 0 to !n_touched - 1 do
         norm := Float.max !norm (Float.abs acc.(touched.(t)))
@@ -151,7 +146,8 @@ let of_problem problem =
 (* Raised whenever the sparse path cannot be trusted (singular
    refactorisation mid-solve, pivot value disagreeing with its BTRAN
    image, post-solve feasibility breach): the caller retries a colder
-   path, ultimately the dense solver. *)
+   path, and once the cold path itself has declined twice answers
+   [Iteration_limit]. *)
 exception Decline
 
 type state = {
@@ -171,6 +167,9 @@ type state = {
   rho : float array;  (* BTRAN scratch (dual row) *)
   dw : float array;  (* devex reference-framework weights per column *)
   mutable pivots_left : int ref;
+  mutable no_updates : bool;
+      (* refactorise after every basis change instead of keeping a
+         Forrest-Tomlin file: the cold retry's setting *)
 }
 
 (* A session keeps one solve state and a factor snapshot alive across
@@ -190,23 +189,33 @@ type session = {
 
 (* ---- process-wide solver counters (benchmarks / verbose CLI) ---- *)
 
-type counters = { refactorisations : int; ft_updates : int; ft_entries : int }
+type counters = {
+  refactorisations : int;
+  ft_updates : int;
+  ft_entries : int;
+  retries : int;
+}
 
 let refactor_count = Atomic.make 0
 let ft_update_count = Atomic.make 0
 let ft_entry_count = Atomic.make 0
+let retry_count = Atomic.make 0
 
 let counters () =
   {
     refactorisations = Atomic.get refactor_count;
     ft_updates = Atomic.get ft_update_count;
     ft_entries = Atomic.get ft_entry_count;
+    retries = Atomic.get retry_count;
   }
 
 let reset_counters () =
   Atomic.set refactor_count 0;
   Atomic.set ft_update_count 0;
-  Atomic.set ft_entry_count 0
+  Atomic.set ft_entry_count 0;
+  Atomic.set retry_count 0
+
+let dense_fallbacks () = Atomic.get retry_count
 
 let col_value st j =
   match st.stat.(j) with
@@ -293,7 +302,7 @@ let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
   let e1 = Factor.ft_entries st.f in
   if e1 > e0 then ignore (Atomic.fetch_and_add ft_entry_count (e1 - e0));
   st.beta.(r) <- enter_val;
-  if Factor.needs_refresh st.f then begin
+  if st.no_updates || Factor.needs_refresh st.f then begin
     refresh st;
     true
   end
@@ -345,8 +354,8 @@ let primal st ~allowed =
     done;
     !enter
   in
-  (* Bland's rule: lowest-index eligible column, exactly as the dense
-     loop degrades after [degen_window] non-improving pivots *)
+  (* Bland's rule: lowest-index eligible column, used after
+     [degen_window] non-improving pivots *)
   let bland_scan () =
     let enter = ref (-1) in
     let j = ref 0 in
@@ -392,7 +401,7 @@ let primal st ~allowed =
         let sigma = if st.stat.(j) = At_lower then 1. else -1. in
         ftran_col st j;
         let w = st.w in
-        (* --- ratio test: identical limits and tie-breaks to dense --- *)
+        (* --- ratio test: on near-ties prefer the largest pivot --- *)
         let tmax = ref (st.wup.(j) -. st.wlo.(j)) in
         let leave = ref (-1) in
         let leave_to_upper = ref false in
@@ -640,9 +649,6 @@ let dual st =
 
 (* ---- solve driver -------------------------------------------------- *)
 
-let fallbacks = Atomic.make 0
-let dense_fallbacks () = Atomic.get fallbacks
-
 let make_state d =
   {
     d;
@@ -661,6 +667,7 @@ let make_state d =
     rho = Array.make d.m 0.;
     dw = Array.make d.ncols 1.;
     pivots_left = ref 0;
+    no_updates = false;
   }
 
 let session d =
@@ -707,8 +714,8 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     if lo.(j) > hi.(j) +. options.feas_tol then bound_conflict := true
   done;
   if !bound_conflict then
-    { Simplex.status = Solution.Infeasible; basis = None; hot = None;
-      pivots = 0; warm_used = false; hot_used = false }
+    { Simplex.status = Solution.Infeasible; basis = None; pivots = 0;
+      warm_used = false }
   else begin
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
@@ -721,44 +728,32 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           rhs.(d.idx.(p)) <- rhs.(d.idx.(p)) -. (d.vs.(p) *. lo.(j))
         done
     done;
-    let fresh () =
-      let wlo = Array.make d.ncols 0. in
-      let wup = Array.make d.ncols infinity in
+    (* reset a state to this solve's options, budget and bounds;
+       artificials default to fixed-at-zero, and the cold path widens
+       them for phase 1 *)
+    let init st =
+      st.opts <- options;
+      st.pivots_left <- pivots_left;
+      Array.blit rhs 0 st.rhs 0 d.m;
       for j = 0 to n - 1 do
-        wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
+        st.wlo.(j) <- 0.;
+        st.wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
       done;
-      (* artificials default to fixed-at-zero; the cold path widens
-         them for phase 1 *)
-      for j = d.n_real to d.ncols - 1 do
-        wup.(j) <- 0.
+      for j = n to d.ncols - 1 do
+        st.wlo.(j) <- 0.;
+        st.wup.(j) <- (if j >= d.n_real then 0. else infinity)
       done;
-      {
-        d;
-        opts = options;
-        wlo;
-        wup;
-        stat = Array.make d.ncols At_lower;
-        basis = Array.init d.m (fun i -> d.n_real + i);
-        in_row = Array.make d.ncols (-1);
-        beta = Array.make d.m 0.;
-        y = Array.make d.m 0.;
-        cost = Array.make d.ncols 0.;
-        rhs;
-        f = Factor.create ~m:d.m;
-        w = Array.make d.m 0.;
-        rho = Array.make d.m 0.;
-        dw = Array.make d.ncols 1.;
-        pivots_left;
-      }
+      Array.fill st.dw 0 d.ncols 1.;
+      st
     in
+    let fresh () = init (make_state d) in
     let set_phase2_cost st =
       Array.fill st.cost 0 d.ncols 0.;
       Array.blit d.cobj 0 st.cost 0 n
     in
-    (* same check as folding [Problem.constrs] term lists — identical
-       operations in identical order, so the verdict is bit-identical
-       — but over the de-boxed term arrays and with column values read
-       on demand, so it allocates nothing *)
+    (* every original row at the current point, over the de-boxed term
+       arrays and with column values read on demand, so it allocates
+       nothing *)
     let violated st =
       let bad = ref false in
       let i = ref 0 in
@@ -784,6 +779,21 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       done;
       !bad
     in
+    (* an accepted endpoint must also keep every structural column in
+       its box: a pivot tolerance that skips a row in the ratio test
+       can push the row's basic column past its bound while every row
+       still checks *)
+    let breached st =
+      violated st
+      ||
+      let tol = options.feas_tol *. 100. in
+      let out = ref false in
+      for j = 0 to n - 1 do
+        let v = col_value st j in
+        if v < -.tol || v > st.wup.(j) +. tol then out := true
+      done;
+      !out
+    in
     let extract st =
       let x = Array.make n 0. in
       let obj = ref 0. in
@@ -799,8 +809,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       { Basis.rows = Array.copy st.basis; stat = Array.copy st.stat }
     in
     (* shared tail of warm starts: dual repair, primal cleanup, then
-       accept only a verified-feasible point (mirrors
-       Simplex.reoptimise) *)
+       accept only a verified-feasible point *)
     let reoptimise st ~on_fallback =
       set_phase2_cost st;
       compute_y st;
@@ -815,7 +824,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           | Budget_exhausted -> Some (Solution.Iteration_limit, None)
           | Unbounded_ray -> Some (Solution.Unbounded, None)
           | Optimal_reached ->
-              if violated st then begin
+              if breached st then begin
                 on_fallback ();
                 None
               end
@@ -827,23 +836,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       else begin
         let st =
           match ses with
-          | Some s ->
-              (* reinitialise the pooled state in place: no per-solve
-                 allocation on the branch & bound hot path *)
-              let st = s.sstate in
-              st.opts <- options;
-              st.pivots_left <- pivots_left;
-              Array.blit rhs 0 st.rhs 0 d.m;
-              for j = 0 to n - 1 do
-                st.wlo.(j) <- 0.;
-                st.wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
-              done;
-              for j = n to d.ncols - 1 do
-                st.wlo.(j) <- 0.;
-                st.wup.(j) <- (if j >= d.n_real then 0. else infinity)
-              done;
-              Array.fill st.dw 0 d.ncols 1.;
-              st
+          (* reinitialise the pooled state in place: no per-solve
+             allocation on the branch & bound hot path *)
+          | Some s -> init s.sstate
           | None -> fresh ()
         in
         for j = 0 to d.ncols - 1 do
@@ -899,13 +894,16 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
         | exception Decline -> None
       end
     in
-    (* ---- cold path: two-phase primal from the artificial basis ---- *)
-    let cold () =
+    (* ---- cold path: two-phase primal from the artificial basis.
+       [retry] is the second attempt after a decline: it factorises
+       the all-logical start afresh and then refactorises after every
+       pivot, so no Forrest-Tomlin file can go stale under it. ---- *)
+    let cold ~retry =
       let st = fresh () in
+      st.no_updates <- retry;
       (* phase 1: artificial i spans [min(0, rhs_i), max(0, rhs_i)]
-         with cost sign(rhs_i) — the sparse build keeps row signs
-         as-is (no dense-style rhs flip), so infeasibility is driven
-         out symmetrically from either side *)
+         with cost sign(rhs_i), so infeasibility is driven out
+         symmetrically from either side *)
       for i = 0 to d.m - 1 do
         let j = d.n_real + i in
         let b = st.rhs.(i) in
@@ -916,8 +914,11 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
         st.in_row.(j) <- i;
         st.beta.(i) <- b
       done;
-      Factor.set_identity st.f;
-      compute_y st;
+      if retry then refresh st
+      else begin
+        Factor.set_identity st.f;
+        compute_y st
+      end;
       (match primal st ~allowed:(fun _ -> true) with
       | Budget_exhausted -> (Solution.Iteration_limit, None)
       | Unbounded_ray ->
@@ -973,10 +974,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             | Budget_exhausted -> (Solution.Iteration_limit, None)
             | Unbounded_ray -> (Solution.Unbounded, None)
             | Optimal_reached ->
-                (* the dense cold path trusts its endpoint; the sparse
-                   one re-verifies and declines to the dense solver on
-                   any breach, so results never change *)
-                if violated st then raise Decline
+                (* re-verify the endpoint against the original rows
+                   and bounds, and decline on any breach *)
+                if breached st then raise Decline
                 else (extract st, Some (snapshot st))
           end)
     in
@@ -985,29 +985,20 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       | Some b -> ( try try_warm b with Decline -> warm_used := false; None)
       | None -> None
     in
-    match attempt with
-    | Some (status, basis) ->
-        Simplex.add_pivots (spent ());
-        { Simplex.status; basis; hot = None; pivots = spent ();
-          warm_used = !warm_used; hot_used = false }
-    | None -> (
-        match cold () with
-        | status, basis ->
-            Simplex.add_pivots (spent ());
-            { Simplex.status; basis; hot = None; pivots = spent ();
-              warm_used = !warm_used; hot_used = false }
-        | exception Decline ->
-            (* verified dense fallback, with the remaining budget *)
-            Atomic.incr fallbacks;
-            Simplex.add_pivots (spent ());
-            let sparse_spent = spent () in
-            let options =
-              { options with Simplex.max_pivots = Int.max 1 !pivots_left }
-            in
-            let r = Simplex.solve_warm ~options ?warm ~lo ~hi d.problem in
-            { r with
-              Simplex.pivots = r.Simplex.pivots + sparse_spent;
-              warm_used = !warm_used || r.Simplex.warm_used })
+    let status, basis =
+      match attempt with
+      | Some r -> r
+      | None -> (
+          try cold ~retry:false
+          with Decline -> (
+            Atomic.incr retry_count;
+            (* a second decline leaves no verified answer: report the
+               solve as unfinished rather than trust its endpoint *)
+            try cold ~retry:true
+            with Decline -> (Solution.Iteration_limit, None)))
+    in
+    Simplex.add_pivots (spent ());
+    { Simplex.status; basis; pivots = spent (); warm_used = !warm_used }
   end
 
 let solve ?options ?lo ?hi problem =

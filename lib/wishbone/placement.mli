@@ -250,11 +250,9 @@ val solve :
     [root_basis] warm-starts the root relaxation — the PR 1 machinery,
     unchanged.
 
-    [options] also selects the LP engine and parallelism
-    ({!Lp.Branch_bound.options.solver} / [workers]): by default eeg-scale
-    encodings run on the sparse revised simplex and small ones on the
-    dense tableau, and any [workers] count returns the same partition
-    (deterministic waves, see DESIGN.md §14). *)
+    [options] also sets the parallelism
+    ({!Lp.Branch_bound.options.workers}): any [workers] count returns
+    the same partition (deterministic waves, see DESIGN.md §14). *)
 
 val tier_ops : report -> int -> int list
 (** [tier_ops r tier]: the original operator ids placed on [tier],

@@ -84,8 +84,7 @@ let bracket ~tol ~max_multiplier attempt =
 
 let search_placement ?encoding ?preprocess
     ?(options = default_search_options) ?(tol = 0.01)
-    ?(max_multiplier = 65536.) ?(incremental = true) ?initial_tiers
-    ?root_basis:basis0 pl =
+    ?(max_multiplier = 65536.) ?initial_tiers ?root_basis:basis0 pl =
   (* Incremental state threaded across bracket/bisection steps.  Every
      step solves the same ILP with uniformly rescaled coefficients, so
      (a) the last feasible tier assignment, re-evaluated under the new
@@ -99,11 +98,9 @@ let search_placement ?encoding ?preprocess
   let prev_tiers = ref initial_tiers in
   let root_basis = ref basis0 in
   let attempt factor =
-    let initial = if incremental then !prev_tiers else None in
-    let basis = if incremental then !root_basis else None in
     match
-      Placement.solve ?encoding ?preprocess ~options ?initial
-        ?root_basis:basis
+      Placement.solve ?encoding ?preprocess ~options ?initial:!prev_tiers
+        ?root_basis:!root_basis
         (Placement.scale_rate pl factor)
     with
     | Placement.Partitioned r ->

@@ -33,10 +33,10 @@ val default_search_options : Lp.Branch_bound.options
     paper itself suggests ("use an approximate lower bound to establish
     a termination condition").  The budget counts nodes, not seconds,
     so the rate found is the same on every machine; set [time_limit]
-    to add a wall-clock cap.  Engine selection and worker count are
-    inherited from {!Lp.Branch_bound.default_options} ([Auto] /
-    sequential); override [solver]/[workers] here to force an engine or
-    parallelise each solve — the rates found are identical either way. *)
+    to add a wall-clock cap.  The worker count is inherited from
+    {!Lp.Branch_bound.default_options} (sequential); override
+    [workers] here to parallelise each solve — the rates found are
+    identical either way. *)
 
 val search_placement :
   ?encoding:Placement.encoding ->
@@ -44,7 +44,6 @@ val search_placement :
   ?options:Lp.Branch_bound.options ->
   ?tol:float ->
   ?max_multiplier:float ->
-  ?incremental:bool ->
   ?initial_tiers:int array ->
   ?root_basis:Lp.Basis.t ->
   Placement.t ->
@@ -61,19 +60,18 @@ val search_placement :
     caps the upward bracket (default 65536).  [options] defaults to
     {!default_search_options}.
 
-    [incremental] (default [true]) makes each bracket/bisection step
-    reuse the previous one: the last feasible tier assignment seeds
-    the next solve's incumbent, and the root LP basis is carried
-    across the rescaled instances.  On any instance a step solves to
-    completion, reuse cannot change the feasibility verdict — warm
-    starts are performance hints only.  When a step instead dies on
-    [options]' node or time budget, a warm-started solve may prove
-    feasibility inside a budget the cold solve exhausts, so on
-    budget-bound instances the incremental search can find a
-    ({e genuinely feasible}) rate the cold search misses — never the
-    other way around.  Pass [false] to measure the cold baseline.
+    Each bracket/bisection step reuses the previous one: the last
+    feasible tier assignment seeds the next solve's incumbent, and
+    the root LP basis is carried across the rescaled instances.  On
+    any instance a step solves to completion, reuse cannot change the
+    feasibility verdict — warm starts are performance hints only.
+    When a step instead dies on [options]' node or time budget, the
+    carried incumbent may prove feasibility inside a budget a cold
+    solve would exhaust, so on budget-bound instances the rate found
+    depends on the sequence of probes before it (it is always
+    {e genuinely feasible}).
 
-    [initial_tiers] and [root_basis] pre-seed the incremental state
-    from a completed solve of the same placement structure at another
+    [initial_tiers] and [root_basis] pre-seed that carried state from
+    a completed solve of the same placement structure at another
     rate — {!Service}'s near-repeat warm start.  Both are performance
-    hints with the same caveats as [incremental] itself. *)
+    hints with the same caveats. *)

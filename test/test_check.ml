@@ -19,17 +19,19 @@ let small_lp () =
   Lp.Problem.set_objective p Lp.Problem.Maximize [ (x, 3.); (y, 4.) ];
   p
 
+let solve_warm p = Lp.Sparse.solve_warm (Lp.Sparse.of_problem p)
+
 let test_pivot_accounting () =
   Lp.Simplex.reset_cumulative_pivots ();
   Alcotest.(check int) "reset clears the counter" 0
     (Lp.Simplex.cumulative_pivots ());
-  let r = Lp.Simplex.solve_warm (small_lp ()) in
+  let r = solve_warm (small_lp ()) in
   Alcotest.(check bool) "optimal" true (Lp.Solution.is_optimal r.status);
   Alcotest.(check bool) "solving pivots at least once" true (r.pivots > 0);
   Alcotest.(check int) "counter accumulates exactly the solve's pivots"
     r.pivots
     (Lp.Simplex.cumulative_pivots ());
-  let r2 = Lp.Simplex.solve_warm (small_lp ()) in
+  let r2 = solve_warm (small_lp ()) in
   Alcotest.(check int) "second solve adds its pivots"
     (r.pivots + r2.pivots)
     (Lp.Simplex.cumulative_pivots ());
@@ -46,7 +48,7 @@ let test_certificate_accepts_valid () =
   let optimal = ref 0 in
   for _ = 1 to 200 do
     let p = Gen.lp rng ~size:7 in
-    let r = Lp.Simplex.solve_warm p in
+    let r = solve_warm p in
     if Lp.Solution.is_optimal r.status then begin
       incr optimal;
       match Certificate.check_result p r with
@@ -66,7 +68,7 @@ let test_certificate_catches_suboptimal () =
      vertex for the maximisation, with a perfectly consistent basis *)
   let wrong = Lp.Problem.copy p in
   Lp.Problem.set_objective wrong Lp.Problem.Minimize [ (0, 3.); (1, 4.) ];
-  let r = Lp.Simplex.solve_warm wrong in
+  let r = solve_warm wrong in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   (* same x, same basis, claimed optimal for the maximisation *)
@@ -81,7 +83,7 @@ let test_certificate_catches_suboptimal () =
 
 let test_certificate_catches_corrupt_solution () =
   let p = small_lp () in
-  let r = Lp.Simplex.solve_warm p in
+  let r = solve_warm p in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   (* corrupt one coordinate: breaks either feasibility or the
@@ -100,7 +102,7 @@ let test_certificate_catches_corrupt_solution () =
 
 let test_certificate_catches_corrupt_basis () =
   let p = small_lp () in
-  let r = Lp.Simplex.solve_warm p in
+  let r = solve_warm p in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   let stat = Array.copy basis.Lp.Basis.stat in

@@ -20,7 +20,7 @@ let test_beale_cycling_guard () =
   Problem.add_constr p [ (x.(2), 1.) ] Problem.Le 1.;
   Problem.set_objective p Problem.Maximize
     [ (x.(0), 0.75); (x.(1), -20.); (x.(2), 0.5); (x.(3), -6.) ];
-  match Simplex.solve p with
+  match Sparse.solve p with
   | Solution.Optimal s -> feq "beale optimum" 1.25 s.objective
   | st -> Alcotest.failf "beale: %a" Solution.pp_status st
 
@@ -33,7 +33,7 @@ let test_pivot_budget () =
   Problem.set_objective p Problem.Maximize
     (Array.to_list (Array.map (fun v -> (v, 1.)) vars));
   let options = { Simplex.default_options with Simplex.max_pivots = 1 } in
-  match Simplex.solve ~options p with
+  match Sparse.solve ~options p with
   | Solution.Iteration_limit -> ()
   | st -> Alcotest.failf "expected iteration limit, got %a" Solution.pp_status st
 
@@ -45,7 +45,7 @@ let test_redundant_equalities () =
   Problem.add_constr p [ (x, 1.); (y, 1.) ] Problem.Eq 4.;
   Problem.add_constr p [ (x, 2.); (y, 2.) ] Problem.Eq 8.;
   Problem.set_objective p Problem.Maximize [ (x, 1.) ];
-  match Simplex.solve p with
+  match Sparse.solve p with
   | Solution.Optimal s ->
       feq "x" 4. s.x.(x);
       feq "obj" 4. s.objective
@@ -55,7 +55,7 @@ let test_empty_objective () =
   let p = Problem.create () in
   let x = Problem.add_var ~hi:3. p in
   Problem.add_constr p [ (x, 1.) ] Problem.Ge 1.;
-  match Simplex.solve p with
+  match Sparse.solve p with
   | Solution.Optimal s ->
       feq "feasible point" 0. s.objective;
       Alcotest.(check bool) "x in range" true (s.x.(x) >= 1. -. 1e-9)

@@ -368,23 +368,6 @@ let test_rate_search_overloaded_start () =
       Alcotest.(check bool) "below 1" true (placement_multiplier < 1.)
   | None -> Alcotest.fail "expected a reduced-rate partition"
 
-let test_rate_search_incremental_consistent () =
-  (* incumbent seeding and root-basis reuse are performance hints:
-     the found rate must match the cold search *)
-  for seed = 0 to 9 do
-    let spec = Apps.Synthetic.random_spec ~seed ~n_ops:14 () in
-    match
-      ( Rate_search.search_placement ~incremental:false (cut spec),
-        Rate_search.search_placement ~incremental:true (cut spec) )
-    with
-    | Some a, Some b ->
-        let a = a.placement_multiplier and b = b.placement_multiplier in
-        if Float.abs (a -. b) > 0.02 *. a then
-          Alcotest.failf "seed %d: cold rate %g, incremental rate %g" seed a b
-    | None, None -> ()
-    | _ -> Alcotest.failf "seed %d: feasibility disagreement" seed
-  done
-
 (* ---- cutpoints ---- *)
 
 let test_cutpoints_on_speech () =
@@ -569,7 +552,6 @@ let () =
           tc "finds the max rate" test_rate_search_finds_max;
           tc "monotone feasibility" test_rate_search_monotonicity;
           tc "overloaded start" test_rate_search_overloaded_start;
-          tc "incremental = cold" test_rate_search_incremental_consistent;
         ] );
       ( "cutpoints",
         [
