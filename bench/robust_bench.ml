@@ -7,8 +7,8 @@
    a fresh service, so every sweep point does identical work — and
    under shrinking branch-and-bound node budgets.  Every faulted run
    must conserve ok + degraded + failed = queries, and the 10 % point
-   is re-run at shards 1/2/4 to confirm the containment layer keeps
-   answers and counters machine-shape independent.  Finally the warm
+   is re-run on a second fresh service to confirm the containment layer
+   replays answers and counters exactly.  Finally the warm
    service is checkpointed, the snapshot reloaded, and the whole batch
    replayed byte-identically through the restored cache.
 
@@ -72,11 +72,10 @@ let digests responses =
   Array.map (fun (r : Wishbone.Service.response) -> r.Wishbone.Service.digest)
     responses
 
-let sweep_point ~label ?options ?fault_plan ?(retries = 1) ?(shards = 2)
-    queries =
+let sweep_point ~label ?options ?fault_plan ?(retries = 1) queries =
   let svc = Wishbone.Service.create ~capacity:64 ?options ~retries ?fault_plan () in
   let t0 = Unix.gettimeofday () in
-  let responses = Wishbone.Service.run_batch ~shards svc queries in
+  let responses = Wishbone.Service.run_batch svc queries in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let c = Wishbone.Service.counters svc in
   check
@@ -95,6 +94,17 @@ let sweep_point ~label ?options ?fault_plan ?(retries = 1) ?(shards = 2)
       retries = c.Wishbone.Service.retries;
       deaths = c.Wishbone.Service.worker_deaths;
     } )
+
+(* serve [queries] under [fault_plan] on two fresh services: answers
+   and containment counters must agree exactly *)
+let replayed ~fault_plan queries =
+  let svc, r1, p1 = sweep_point ~label:"first" ~fault_plan queries in
+  let _, r2, p2 = sweep_point ~label:"replay" ~fault_plan queries in
+  check "replay: digests differ" (digests r1 = digests r2);
+  check "replay: containment counters differ"
+    ((p1.ok, p1.degraded, p1.failed, p1.retries, p1.deaths)
+    = (p2.ok, p2.degraded, p2.failed, p2.retries, p2.deaths));
+  (svc, p1)
 
 let point_json p =
   Printf.sprintf
@@ -130,28 +140,10 @@ let run () =
         p)
       fault_rates
   in
-  (* the 10% point must be shard-shape independent *)
+  (* the 10% point must replay exactly *)
   let plan10 = Wishbone.Service.Fault_plan.seeded ~rate:0.1 1 in
-  let shard_runs =
-    List.map
-      (fun shards ->
-        let _, responses, p =
-          sweep_point ~label:(Printf.sprintf "shards=%d" shards)
-            ~fault_plan:plan10 ~shards queries
-        in
-        (digests responses, p))
-      [ 1; 2; 4 ]
-  in
-  let d1, p1 = List.hd shard_runs in
-  List.iter
-    (fun (d, p) ->
-      check (p.label ^ ": digests differ from shards=1") (d = d1);
-      check
-        (p.label ^ ": containment counters differ from shards=1")
-        ((p.ok, p.degraded, p.failed, p.retries, p.deaths)
-        = (p1.ok, p1.degraded, p1.failed, p1.retries, p1.deaths)))
-    (List.tl shard_runs);
-  Bench_util.row "shards 1/2/4 at 10%% faults: byte-identical\n";
+  ignore (replayed ~fault_plan:plan10 queries);
+  Bench_util.row "10%% faults served twice: byte-identical\n";
   (* goodput vs node budget, faults off *)
   let budgets = [ 1; 2; 8; max_int ] in
   let budget_points =
@@ -191,7 +183,7 @@ let run () =
             check ("restore went cold: " ^ reason) false;
             0
       in
-      let replay = Wishbone.Service.run_batch ~shards:2 revived queries in
+      let replay = Wishbone.Service.run_batch revived queries in
       check "restored replay differs from the live service"
         (digests replay = digests responses);
       Bench_util.row
@@ -205,7 +197,7 @@ let run () =
         \  \"n_queries\": %d,\n\
         \  \"fault_sweep\": [\n%s\n  ],\n\
         \  \"budget_sweep\": [\n%s\n  ],\n\
-        \  \"shard_identity_at_10pct\": true,\n\
+        \  \"replay_identity_at_10pct\": true,\n\
         \  \"checkpoint\": {\"save_ms\": %.4f, \"bytes\": %d, \"load_ms\": \
          %.4f, \"entries\": %d, \"replay_identical\": true}\n\
          }\n"
@@ -217,36 +209,17 @@ let run () =
   Bench_util.row "wrote BENCH_robust.json\n"
 
 (* CI smoke: the acceptance batch — 32 queries over eeg14/eeg22 and
-   synthetic instances at a 10% injected fault rate — served at shards
-   1/2/4 with byte-identity and conservation asserts, plus a
+   synthetic instances at a 10% injected fault rate — served twice on
+   fresh services with byte-identity and conservation asserts, plus a
    kill-and-restore replay.  Seconds, not minutes. *)
 let smoke () =
   Bench_util.header "fault-contained serving: smoke";
   let queries = fleet_queries () in
   check "acceptance batch is 32 queries" (Array.length queries = 32);
   let plan = Wishbone.Service.Fault_plan.seeded ~rate:0.1 1 in
-  let runs =
-    List.map
-      (fun shards ->
-        let svc, responses, p =
-          sweep_point ~label:(Printf.sprintf "shards=%d" shards)
-            ~fault_plan:plan ~shards queries
-        in
-        (svc, digests responses, p))
-      [ 1; 2; 4 ]
-  in
-  let _, d1, p1 = List.hd runs in
-  List.iter
-    (fun (_, d, p) ->
-      check (p.label ^ ": digests differ from shards=1") (d = d1);
-      check
-        (p.label ^ ": counters differ from shards=1")
-        ((p.ok, p.degraded, p.failed, p.retries, p.deaths)
-        = (p1.ok, p1.degraded, p1.failed, p1.retries, p1.deaths)))
-    (List.tl runs);
+  let svc2, p1 = replayed ~fault_plan:plan queries in
   check "smoke: conservation" (p1.ok + p1.degraded + p1.failed = 32);
-  (* kill-and-restore: checkpoint the shards=2 service, reload, replay *)
-  let svc2, d2, _ = List.nth runs 1 in
+  (* kill-and-restore: checkpoint a served service, reload, replay *)
   let path = Filename.temp_file "wishbone_smoke" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -259,13 +232,12 @@ let smoke () =
       | Wishbone.Service.Restored _ -> ()
       | Wishbone.Service.Cold_start reason ->
           check ("smoke: restore went cold: " ^ reason) false);
-      let replay = Wishbone.Service.run_batch ~shards:2 revived queries in
-      let replay2 = Wishbone.Service.run_batch ~shards:2 svc2 queries in
+      let replay = Wishbone.Service.run_batch revived queries in
+      let replay2 = Wishbone.Service.run_batch svc2 queries in
       check "smoke: restored replay differs from the live service"
-        (digests replay = digests replay2);
-      ignore d2);
+        (digests replay = digests replay2));
   Bench_util.row
-    "smoke ok: 32 queries at 10%% faults, shards 1/2/4 byte-identical, ok %d \
+    "smoke ok: 32 queries at 10%% faults, served twice byte-identical, ok %d \
      degraded %d failed %d (retries %d, deaths %d), kill-and-restore replay \
      byte-identical\n"
     p1.ok p1.degraded p1.failed p1.retries p1.deaths

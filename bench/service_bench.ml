@@ -1,17 +1,13 @@
-(* Fleet placement service benchmark: batch throughput under query
-   sharding, and the cache's replay speedup.
+(* Fleet placement service benchmark: cold batch throughput, and the
+   cache's replay and near-repeat speedups.
 
    A mixed 32-query fleet batch (eeg14/eeg22/speech at several rates,
    synthetic instances with rate searches, and exact duplicates) is
-   served cold at shard counts 1/2/4 — each on a fresh service, so
-   every run does identical work — and then replayed against the
-   shards=1 service's warm cache.  Answers must be byte-identical
-   across every shard count, between cold and warm passes, and against
-   the direct no-service solve path.
-
-   Shard scaling is real parallel speedup only when the machine has
-   cores to give; the JSON records the core count next to the numbers
-   so a single-core container's flat curve reads as what it is.
+   served cold on a fresh service, replayed against its warm cache,
+   and followed by near-repeats (the same instances at unseen rates).
+   Answers must be byte-identical between cold and warm passes and
+   against the direct no-service solve path.  The JSON records the
+   core count next to the timings.
 
    Writes BENCH_service.json at the repo root:
 
@@ -21,7 +17,6 @@
    DESIGN.md §16. *)
 
 type pass_result = {
-  shards : int;
   wall_ms : float;
   qps : float;
   p50_ms : float;
@@ -29,16 +24,15 @@ type pass_result = {
   digests : string array;
 }
 
-let run_pass ~shards svc queries =
+let run_pass svc queries =
   let t0 = Unix.gettimeofday () in
-  let responses = Wishbone.Service.run_batch ~shards svc queries in
+  let responses = Wishbone.Service.run_batch svc queries in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let lat =
     Array.map (fun (r : Wishbone.Service.response) -> r.latency_ms) responses
   in
   Array.sort compare lat;
   {
-    shards;
     wall_ms;
     qps = Float.of_int (Array.length queries) /. Float.max 1e-9 (wall_ms /. 1000.);
     p50_ms = Bench_util.percentile lat 0.5;
@@ -130,75 +124,56 @@ let fleet_queries () =
   (batch, near)
 
 let write_json ~cores ~n ~cold ~warmed ~near ~near_warm_starts ~warm_speedup
-    ~shard_speedup (c : Wishbone.Service.counters) =
+    (c : Wishbone.Service.counters) =
   let oc = open_out "BENCH_service.json" in
   let pass (r : pass_result) =
     Printf.sprintf
-      "    {\"shards\": %d, \"wall_ms\": %.4f, \"qps\": %.1f, \"p50_ms\": \
-       %.4f, \"p99_ms\": %.4f}"
-      r.shards r.wall_ms r.qps r.p50_ms r.p99_ms
+      "{\"wall_ms\": %.4f, \"qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": \
+       %.4f}"
+      r.wall_ms r.qps r.p50_ms r.p99_ms
   in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"placement_service\",\n\
     \  \"cores\": %d,\n\
     \  \"n_queries\": %d,\n\
-    \  \"cold\": [\n%s\n  ],\n\
+    \  \"cold\": %s,\n\
     \  \"warmed\": %s,\n\
     \  \"near_repeat\": {\"n_queries\": %d, \"wall_ms\": %.4f, \
      \"warm_starts\": %d},\n\
     \  \"warm_speedup_vs_cold\": %.2f,\n\
-    \  \"shard4_speedup_vs_shard1\": %.2f,\n\
     \  \"counters\": {\"queries\": %d, \"hits\": %d, \"misses\": %d, \
      \"warm_starts\": %d, \"inserts\": %d, \"evictions\": %d, \"resident\": \
      %d},\n\
     \  \"equivalence_ok\": true\n\
      }\n"
-    cores n
-    (String.concat ",\n" (List.map pass cold))
-    (String.trim (pass warmed))
+    cores n (pass cold) (pass warmed)
     (Array.length near.digests) near.wall_ms near_warm_starts
-    warm_speedup shard_speedup c.Wishbone.Service.queries
+    warm_speedup c.Wishbone.Service.queries
     c.Wishbone.Service.hits c.Wishbone.Service.misses
     c.Wishbone.Service.warm_starts c.Wishbone.Service.inserts
     c.Wishbone.Service.evictions c.Wishbone.Service.resident;
   close_out oc
 
 let run () =
-  Bench_util.header "placement service: sharded batches and cache replay";
+  Bench_util.header "placement service: cold batch and cache replay";
   Bench_util.paper_vs
-    "service answers are byte-identical to the direct solve path for every \
-     shard count, cold or warm";
+    "service answers are byte-identical to the direct solve path, cold or \
+     warm";
   let queries, near_queries = fleet_queries () in
   let n = Array.length queries in
   let cores = Domain.recommended_domain_count () in
-  (* cold runs: a fresh service per shard count, identical work each *)
-  let cold =
-    List.map
-      (fun shards ->
-        let svc = Wishbone.Service.create ~capacity:64 () in
-        let r = run_pass ~shards svc queries in
-        Bench_util.row
-          "cold  shards=%d  %8.1f ms  %7.1f queries/s  p50 %7.3f ms  p99 \
-           %7.3f ms\n"
-          shards r.wall_ms r.qps r.p50_ms r.p99_ms;
-        (svc, r))
-      [ 1; 2; 4 ]
+  let svc1 = Wishbone.Service.create ~capacity:64 () in
+  let row label (r : pass_result) =
+    Bench_util.row
+      "%s  %8.1f ms  %7.1f queries/s  p50 %7.3f ms  p99 %7.3f ms\n" label
+      r.wall_ms r.qps r.p50_ms r.p99_ms
   in
-  let svc1, cold1 = List.hd cold in
-  let cold_results = List.map snd cold in
-  (* every shard count must produce identical bytes *)
-  List.iter
-    (fun (r : pass_result) ->
-      check
-        (Printf.sprintf "shards=%d digests differ from shards=1" r.shards)
-        (r.digests = cold1.digests))
-    cold_results;
-  (* warmed replay through the shards=1 service's populated cache *)
-  let warmed = run_pass ~shards:1 svc1 queries in
-  Bench_util.row
-    "warm  shards=1  %8.1f ms  %7.1f queries/s  p50 %7.3f ms  p99 %7.3f ms\n"
-    warmed.wall_ms warmed.qps warmed.p50_ms warmed.p99_ms;
+  let cold1 = run_pass svc1 queries in
+  row "cold" cold1;
+  (* warmed replay through the populated cache *)
+  let warmed = run_pass svc1 queries in
+  row "warm" warmed;
   check "warm digests differ from cold" (warmed.digests = cold1.digests);
   (* and the whole batch must match the no-service direct path *)
   let direct = direct_digests svc1 queries in
@@ -207,10 +182,9 @@ let run () =
      from the stored tier assignment and root basis *)
   let warm0 = (Wishbone.Service.counters svc1).Wishbone.Service.warm_starts in
   let t0 = Unix.gettimeofday () in
-  let near_resp = Wishbone.Service.run_batch ~shards:1 svc1 near_queries in
+  let near_resp = Wishbone.Service.run_batch svc1 near_queries in
   let near =
     {
-      shards = 1;
       wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
       qps = 0.;
       p50_ms = 0.;
@@ -226,21 +200,17 @@ let run () =
   in
   check "near-repeat digests differ from direct solves"
     (direct_digests svc1 near_queries = near.digests);
-  Bench_util.row "near  shards=1  %8.1f ms  %d/%d queries warm-started\n"
+  Bench_util.row "near  %8.1f ms  %d/%d queries warm-started\n"
     near.wall_ms near_warm_starts
     (Array.length near_queries);
   let warm_speedup = cold1.wall_ms /. Float.max 1e-9 warmed.wall_ms in
-  let cold4 = List.nth cold_results 2 in
-  let shard_speedup = cold1.wall_ms /. Float.max 1e-9 cold4.wall_ms in
-  Bench_util.row
-    "cache replay speedup %.1fx; shards=4 vs shards=1 %.2fx (%d cores)\n"
-    warm_speedup shard_speedup cores;
-  write_json ~cores ~n ~cold:cold_results ~warmed ~near ~near_warm_starts
-    ~warm_speedup ~shard_speedup
+  Bench_util.row "cache replay speedup %.1fx (%d cores)\n" warm_speedup cores;
+  write_json ~cores ~n ~cold:cold1 ~warmed ~near ~near_warm_starts
+    ~warm_speedup
     (Wishbone.Service.counters svc1);
   Bench_util.row "wrote BENCH_service.json\n"
 
-(* CI smoke: a tiny synthetic batch, shards=2, asserting byte-identity
+(* CI smoke: a tiny synthetic batch, asserting byte-identity
    against the direct path and counter conservation — seconds, not
    minutes *)
 let smoke () =
@@ -260,11 +230,11 @@ let smoke () =
     |]
   in
   let svc = Wishbone.Service.create ~capacity:4 () in
-  let cold = run_pass ~shards:2 svc queries in
+  let cold = run_pass svc queries in
   let direct = direct_digests svc queries in
   check "smoke: served digests differ from direct solves"
     (direct = cold.digests);
-  let warm = run_pass ~shards:2 svc queries in
+  let warm = run_pass svc queries in
   check "smoke: warm replay digests differ" (warm.digests = cold.digests);
   let c = Wishbone.Service.counters svc in
   check "smoke: hits + misses <> queries"

@@ -6,7 +6,7 @@
      wishbone partition -a eeg -p tmote --mode permissive --rate 0.5
      wishbone sweep    -a speech -p tmote --from 0.01 --to 0.2 --steps 10
      wishbone deploy   -a speech -p tmote --nodes 20 --cut 6
-     wishbone serve    --queries fleet.txt --shards 2 --repeat 2
+     wishbone serve    --queries fleet.txt --repeat 2
      wishbone netprofile --nodes 20 --target 0.9 *)
 
 open Cmdliner
@@ -393,22 +393,11 @@ let partition_cmd =
              every node boundary and threaded into each LP solve.  Like \
              $(b,--node-budget) the answer is machine-independent.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Concurrent branch & bound node expansions (deterministic: \
-             the partition returned is the same for any worker count).")
-  in
-  let solver_options base max_pivots time_limit_ms node_budget pivot_budget
-      workers =
-    if workers < 1 then die "--workers must be at least 1";
+  let solver_options base max_pivots time_limit_ms node_budget pivot_budget =
     let o = base in
     {
       o with
-      Lp.Branch_bound.workers;
-      time_limit =
+      Lp.Branch_bound.time_limit =
         (match time_limit_ms with
         | Some ms -> ms /. 1000.
         | None -> o.Lp.Branch_bound.time_limit);
@@ -428,8 +417,8 @@ let partition_cmd =
     }
   in
   (* process-wide solver work counters, reset at solve entry: the
-     verbose tail of the report, for eyeballing the effect of
-     --workers and the budgets on actual work done *)
+     verbose tail of the report, for eyeballing the effect of the
+     budgets on actual work done *)
   let report_counters (stats : Lp.Branch_bound.stats) =
     let c = Lp.Sparse.counters () in
     Printf.printf
@@ -467,14 +456,14 @@ let partition_cmd =
     exit 1
   in
   let run app platform duration mode rate dot search tiers topology max_pivots
-      time_limit_ms node_budget pivot_budget workers =
+      time_limit_ms node_budget pivot_budget =
     (* the rate search keeps its looser per-solve budgets unless
        overridden explicitly *)
     let options =
       solver_options
         (if search then Wishbone.Rate_search.default_search_options
          else Lp.Branch_bound.default_options)
-        max_pivots time_limit_ms node_budget pivot_budget workers
+        max_pivots time_limit_ms node_budget pivot_budget
     in
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
@@ -559,7 +548,7 @@ let partition_cmd =
     Term.(
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ rate_arg
       $ dot_arg $ search_arg $ tiers_arg $ topology_arg $ max_pivots_arg
-      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg $ workers_arg)
+      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg)
 
 let sweep_cmd =
   let from_arg =
@@ -878,14 +867,6 @@ let serve_cmd =
              and cpu=/net= override the node CPU and radio budgets.  \
              Blank lines and $(b,#) comments are skipped.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Solver domains per batch.  Responses are identical for every \
-             shard count; only wall-clock changes.")
-  in
   let cache_arg =
     Arg.(
       value & opt int 512
@@ -907,7 +888,7 @@ let serve_cmd =
           ~doc:
             "Deterministic branch & bound node budget per solve; \
              exhaustion surfaces as gap-certified $(b,degraded) answers, \
-             identical on every machine and shard count.")
+             identical on every machine.")
   in
   let retry_arg =
     Arg.(
@@ -936,9 +917,9 @@ let serve_cmd =
             "Inject seeded solver faults (transient declines, permanent \
              faults, mid-solve crashes, worker deaths) into ~10% of \
              solves — the containment test harness.  Answers remain \
-             deterministic per seed and shard count.")
+             deterministic per seed.")
   in
-  let run queries_file shards cache repeat node_budget retry checkpoint
+  let run queries_file cache repeat node_budget retry checkpoint
       inject_faults mode duration =
     let fail line msg =
       Printf.eprintf "serve: line %d: %s\n" line msg;
@@ -1107,7 +1088,7 @@ let serve_cmd =
     in
     for pass = 1 to repeat do
       let t0 = Unix.gettimeofday () in
-      let responses = Wishbone.Service.run_batch ~shards svc queries in
+      let responses = Wishbone.Service.run_batch svc queries in
       let dt = Unix.gettimeofday () -. t0 in
       Array.iteri
         (fun i (r : Wishbone.Service.response) ->
@@ -1166,10 +1147,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve a batch of placement queries through the sharded, cached \
-          fleet placement service (DESIGN.md §16).")
+         "Serve a batch of placement queries through the cached fleet \
+          placement service (DESIGN.md §16).")
     Term.(
-      const run $ queries_arg $ shards_arg $ cache_arg $ repeat_arg
+      const run $ queries_arg $ cache_arg $ repeat_arg
       $ node_budget_arg $ retry_arg $ checkpoint_arg $ inject_faults_arg
       $ mode_arg $ duration_arg)
 

@@ -205,9 +205,8 @@ let run_case cfg oracle ~case =
   | Service_equivalence -> (
       let scfg = spec_cfg gen_rng ~size:cfg.size in
       let s = Gen.spec gen_rng scfg in
-      (* the query batch, capacity and shard count re-derive from the
-         case seed, so the shrink predicate stays a pure function of
-         the spec *)
+      (* the query batch and capacity re-derive from the case seed,
+         so the shrink predicate stays a pure function of the spec *)
       let check s = Oracle.service_equivalence (chk ()) s in
       match check s with
       | Oracle.Pass -> None

@@ -16,7 +16,7 @@ type oracle =
   | Degradation
       (** shedding split execution loses subtractively, never corrupts *)
   | Service_equivalence
-      (** the fleet placement service replays, warm-starts and shards
+      (** the fleet placement service replays and warm-starts
           byte-identically to the direct solve path ("service" is a
           CLI alias) *)
   | Degraded_soundness

@@ -60,7 +60,7 @@ val service_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     random batch of queries — fixed-rate and rate-search, with repeats
     and near-repeats, over the spec's two-tier placement and a
     budget-perturbed sibling — is pushed through {!Wishbone.Service}
-    (random LRU capacity and shard count), then through
+    (random LRU capacity), then through
     {!Wishbone.Service.solve_direct} with the same solver options.
     Every served answer must agree {e byte for byte} (status, chosen
     rate, objective, tier assignment, and the canonical digest); the

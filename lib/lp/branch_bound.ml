@@ -5,7 +5,6 @@ type options = {
   time_limit : float;
   pivot_budget : int;
   on_node : (nodes:int -> pivots:int -> unit) option;
-  workers : int;
   simplex : Simplex.options;
 }
 
@@ -17,7 +16,6 @@ let default_options =
     time_limit = infinity;
     pivot_budget = max_int;
     on_node = None;
-    workers = 1;
     simplex = Simplex.default_options;
   }
 
@@ -100,10 +98,8 @@ let snap ~int_tol int_vars (x : float array) =
 
 (* Deterministic incumbent tie-breaking: when two feasible points have
    (numerically) the same objective, keep the lexicographically
-   smallest.  With parallel waves, tied integral leaves can surface in
-   the same batch in any exploration order; this makes the returned
-   point a pure function of the *set* discovered, not the exploration
-   order. *)
+   smallest, so the returned point does not hinge on which of two tied
+   leaves the search happened to reach first. *)
 let lex_smaller (a : float array) (b : float array) =
   let n = Array.length a in
   let rec go i =
@@ -113,26 +109,6 @@ let lex_smaller (a : float array) (b : float array) =
     else go (i + 1)
   in
   go 0
-
-(* One wave entry: a popped, non-stale open node.  Integral leaves
-   carry no LP work; branch entries are expanded by a worker, results
-   applied later in deterministic batch order. *)
-type task = {
-  t_node : node;
-  t_var : int;
-  mutable t_down : Simplex.result option;
-  mutable t_up : Simplex.result option;
-}
-
-type entry = Leaf of node | Branch of task
-
-(* The integral bound values either side of the branching variable's
-   relaxed value; shared by the solve and apply phases so the bounds
-   solved and the deltas recorded always agree. *)
-let branch_vals (node : node) v =
-  let xv = node.relax.x.(v) in
-  ( Float.of_int (int_of_float (Float.floor xv)),
-    Float.of_int (int_of_float (Float.ceil xv)) )
 
 (* the search proper, over a presolved problem: LPs run on the
    reduced problem [pre], incumbents are lifted to and judged on the
@@ -149,25 +125,20 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
     key_of_obj (s.Solution.objective +. offset)
   in
   let work = Presolve.problem pre in
-  (* force every lazy accessor cache before any domain is spawned:
-     workers treat both problems as strictly read-only *)
-  List.iter
-    (fun p ->
-      ignore (Problem.vars p);
-      ignore (Problem.constrs p);
-      ignore (Problem.objective p))
-    [ problem; work ];
   let int_vars = Problem.integer_vars work in
   let data = Sparse.of_problem work in
-  let workers = Int.max 1 options.workers in
   let lp_solves = ref 0 in
   let pivots = ref 0 in
   let root_b = ref None in
-  (* pure LP relaxation solve — no shared counters, so safe from any
-     worker domain; accounting happens on the main thread via
-     [account] when the result is applied.  [simplex] carries the
-     per-solve pivot cap derived from the tree-wide budget. *)
-  let relaxation ~session ~simplex ~warm ~lo ~hi =
+  (* one reusable sparse solve session for the whole tree: state
+     arrays are pooled across solves, and re-solving the warm basis
+     the session last refactorised (the second child of every node)
+     restores the snapshotted factorisation instead of rebuilding it.
+     The session never changes results, only the work to reach them.
+     [simplex] carries the per-solve pivot cap derived from the
+     tree-wide budget. *)
+  let session = Sparse.session data in
+  let relaxation ~simplex ~warm ~lo ~hi =
     Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ~session data
   in
   (* the tree-wide pivot budget, capped into each LP solve so a single
@@ -186,12 +157,6 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
   let on_node ~nodes ~pivots =
     match options.on_node with Some f -> f ~nodes ~pivots | None -> ()
   in
-  (* one reusable sparse solve session per worker slot: state arrays
-     are pooled across solves, and re-solving the warm basis the
-     session last refactorised (the second child of every node)
-     restores the snapshotted factorisation instead of rebuilding it.
-     Sessions never change results, only the work to reach them. *)
-  let sessions = Array.init workers (fun _ -> Sparse.session data) in
   let account (r : Simplex.result) =
     incr lp_solves;
     pivots := !pivots + r.Simplex.pivots
@@ -214,8 +179,7 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
       } )
   in
   let root =
-    relaxation ~session:sessions.(0)
-      ~simplex:(budgeted_simplex ~remaining:options.pivot_budget)
+    relaxation ~simplex:(budgeted_simplex ~remaining:options.pivot_budget)
       ~warm:(Option.bind root_basis (Presolve.restrict_basis pre))
       ~lo:lo0 ~hi:hi0
   in
@@ -286,152 +250,78 @@ let search ~options ~t0 ?initial ?root_basis problem pre =
             gap <= options.gap_tol *. Float.max 1. (Float.abs !incumbent_key)
                    +. 1e-9
       in
-      (* expansion body run by a worker (or inline when [workers = 1]):
-         both children, warm-started from the node's basis.  Writes
-         only into its own task record; [Domain.join] publishes the
-         writes to the applier. *)
-      let run_task ~session ~simplex tk =
-        let node = tk.t_node in
+      (* both children of a fractional node, warm-started from its
+         basis and sharing one pivot cap: the budget remaining at
+         expansion time *)
+      let expand node v =
+        let simplex =
+          budgeted_simplex ~remaining:(options.pivot_budget - !pivots)
+        in
         let lo, hi = node_bounds node in
-        let fl, ce = branch_vals node tk.t_var in
+        let xv = node.relax.x.(v) in
+        let fl = Float.of_int (int_of_float (Float.floor xv))
+        and ce = Float.of_int (int_of_float (Float.ceil xv)) in
         let hi_down = Array.copy hi in
-        hi_down.(tk.t_var) <- fl;
+        hi_down.(v) <- fl;
         let lo_up = Array.copy lo in
-        lo_up.(tk.t_var) <- ce;
-        tk.t_down <-
-          Some (relaxation ~session ~simplex ~warm:node.basis ~lo ~hi:hi_down);
-        tk.t_up <-
-          Some (relaxation ~session ~simplex ~warm:node.basis ~lo:lo_up ~hi)
+        lo_up.(v) <- ce;
+        let apply_child r ~bup ~bval =
+          account r;
+          match r.Simplex.status with
+          | Solution.Optimal relax ->
+              let key = key_of_relax relax in
+              if key < !incumbent_key -. 1e-12 then
+                Heap.Pqueue.push open_nodes key
+                  { parent = Some node; delta = { bvar = v; bup; bval };
+                    relax; basis = r.Simplex.basis }
+          | Solution.Infeasible -> ()
+          | Solution.Unbounded ->
+              (* a bounded parent cannot have an unbounded child;
+                 treat as numerical noise *)
+              ()
+          | Solution.Iteration_limit -> hit_budget := true
+        in
+        apply_child
+          (relaxation ~simplex ~warm:node.basis ~lo ~hi:hi_down)
+          ~bup:false ~bval:fl;
+        apply_child
+          (relaxation ~simplex ~warm:node.basis ~lo:lo_up ~hi)
+          ~bup:true ~bval:ce
       in
       let continue = ref true in
       while !continue do
-        (* ---- collect a wave of up to [workers] non-stale nodes ----
-           The first collection attempt of a wave replays the
-           sequential loop-head checks exactly (so [workers = 1]
-           reproduces the sequential search verbatim); a trigger after
-           the wave already has entries merely closes the wave, and
-           the next wave's head re-evaluates it against the applied
-           results. *)
-        let batch = ref [] in
-        let batch_n = ref 0 in
-        let collecting = ref true in
-        while !collecting do
-          if !batch_n >= workers then collecting := false
-          else
-            match Heap.Pqueue.min_key open_nodes with
-            | None ->
-                if !batch_n = 0 then continue := false;
-                collecting := false
-            | Some bound_key when gap_closed bound_key ->
-                if !batch_n = 0 then continue := false;
-                collecting := false
-            | Some _ ->
-                (* cooperative checkpoint: counters are only mutated in
-                   the sequential collect/apply phases, so the values
-                   seen here are a pure function of the search history *)
-                on_node ~nodes:!nodes ~pivots:!pivots;
-                if
-                  !nodes >= options.max_nodes
-                  || !pivots >= options.pivot_budget
-                  || elapsed () > options.time_limit
-                then begin
-                  if !batch_n = 0 then begin
-                    hit_budget := true;
-                    continue := false
-                  end;
-                  collecting := false
-                end
-                else begin
-                  match Heap.Pqueue.pop open_nodes with
-                  | None ->
-                      if !batch_n = 0 then continue := false;
-                      collecting := false
-                  | Some (key, node) ->
-                      (* stale-node pruning: the bound was checked when
-                         the node was pushed, but the incumbent may
-                         have improved since; discard without
-                         branching *)
-                      if not (key >= !incumbent_key -. 1e-12 || gap_closed key)
-                      then begin
-                        incr nodes;
-                        match
-                          fractional_var ~int_tol:options.int_tol int_vars
-                            node.relax.x
-                        with
-                        | None ->
-                            batch := Leaf node :: !batch;
-                            incr batch_n
-                        | Some v ->
-                            batch :=
-                              Branch
-                                { t_node = node; t_var = v; t_down = None;
-                                  t_up = None }
-                              :: !batch;
-                            incr batch_n
-                      end
-                end
-        done;
-        let batch = List.rev !batch in
-        (* ---- expand all branch entries, in parallel past one ---- *)
-        let tasks =
-          List.filter_map
-            (function Branch tk -> Some tk | Leaf _ -> None)
-            batch
-        in
-        (* every task of a wave sees the same remaining budget — the
-           value at wave entry — so the wave's results stay a pure
-           function of the search history and [workers] *)
-        let wave_simplex =
-          budgeted_simplex ~remaining:(options.pivot_budget - !pivots)
-        in
-        (match tasks with
-        | [] -> ()
-        | [ tk ] -> run_task ~session:sessions.(0) ~simplex:wave_simplex tk
-        | tk0 :: rest ->
-            let doms =
-              List.mapi
-                (fun i tk ->
-                  Domain.spawn (fun () ->
-                      run_task ~session:sessions.(i + 1) ~simplex:wave_simplex
-                        tk))
-                rest
-            in
-            run_task ~session:sessions.(0) ~simplex:wave_simplex tk0;
-            List.iter Domain.join doms);
-        (* ---- apply results in deterministic batch order ---- *)
-        List.iter
-          (function
-            | Leaf node -> try_incumbent node.relax
-            | Branch tk ->
-                let node = tk.t_node in
-                let fl, ce = branch_vals node tk.t_var in
-                let apply_child r ~bup ~bval =
-                  account r;
-                  match r.Simplex.status with
-                  | Solution.Optimal relax ->
-                      let key = key_of_relax relax in
-                      if key < !incumbent_key -. 1e-12 then begin
-                        let child =
-                          { parent = Some node;
-                            delta = { bvar = tk.t_var; bup; bval };
-                            relax; basis = r.Simplex.basis }
-                        in
-                        Heap.Pqueue.push open_nodes key child
-                      end
-                  | Solution.Infeasible -> ()
-                  | Solution.Unbounded ->
-                      (* a bounded parent cannot have an unbounded
-                         child; treat as numerical noise *)
-                      ()
-                  | Solution.Iteration_limit -> hit_budget := true
-                in
-                (match tk.t_down with
-                | Some r -> apply_child r ~bup:false ~bval:fl
-                | None -> ());
-                (match tk.t_up with
-                | Some r -> apply_child r ~bup:true ~bval:ce
-                | None -> ()))
-          batch
+        match Heap.Pqueue.min_key open_nodes with
+        | None -> continue := false
+        | Some bound_key when gap_closed bound_key -> continue := false
+        | Some _ -> (
+            (* cooperative checkpoint: the counters seen here are a
+               pure function of the search history *)
+            on_node ~nodes:!nodes ~pivots:!pivots;
+            if
+              !nodes >= options.max_nodes
+              || !pivots >= options.pivot_budget
+              || elapsed () > options.time_limit
+            then begin
+              hit_budget := true;
+              continue := false
+            end
+            else
+              match Heap.Pqueue.pop open_nodes with
+              | None -> continue := false
+              | Some (key, node) ->
+                  (* stale-node pruning: the bound was checked when the
+                     node was pushed, but the incumbent may have
+                     improved since; discard without branching *)
+                  if not (key >= !incumbent_key -. 1e-12 || gap_closed key)
+                  then begin
+                    incr nodes;
+                    match
+                      fractional_var ~int_tol:options.int_tol int_vars
+                        node.relax.x
+                    with
+                    | None -> try_incumbent node.relax
+                    | Some v -> expand node v
+                  end)
       done;
       let best_bound_key =
         match Heap.Pqueue.min_key open_nodes with

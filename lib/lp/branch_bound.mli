@@ -10,19 +10,15 @@
 
     Each node stores the optimal basis of its LP relaxation, and both
     children re-solve from it: one refactorisation per expansion,
-    shared by the two children through the worker's {!Sparse.session},
-    then a handful of dual pivots to repair the one bound change.
-    Warm starts change the work, not the answer.
+    shared by the two children through the search's one
+    {!Sparse.session}, then a handful of dual pivots to repair the one
+    bound change.  Warm starts change the work, not the answer.
 
-    With [workers > 1] the search runs in bulk-synchronous waves: up
-    to [workers] open nodes are popped per wave, their children solved
-    on concurrent [Domain]s, and the results applied to the frontier
-    and incumbent in deterministic batch order — so the search, the
-    returned optimum, and every statistic except wall-clock time are a
-    pure function of [workers], reproducible run-to-run.  [workers =
-    1] reproduces the sequential best-first search verbatim.  Tied
-    incumbents are broken lexicographically, keeping the returned
-    point stable across worker counts.
+    The search is sequential on the calling domain: pop the best open
+    node, expand it, push its children.  The returned optimum and every
+    statistic except wall-clock time are a pure function of the
+    problem and options, reproducible run-to-run.  Tied incumbents are
+    broken lexicographically.
 
     Every solve first runs {!Presolve}: bound propagation fixes
     columns and drops rows, the search runs on the reduced problem,
@@ -53,9 +49,9 @@ type options = {
           Checked cooperatively at every node boundary and threaded
           into each LP solve as a per-solve pivot cap, so — unlike
           [time_limit] — a budgeted run is a pure function of the
-          problem and [workers]: the same machine-independent answer
-          everywhere.  [max_int] leaves every code
-          path bit-identical to a build without the budget. *)
+          problem: the same machine-independent answer everywhere.
+          [max_int] leaves every code path bit-identical to a build
+          without the budget. *)
   on_node : (nodes:int -> pivots:int -> unit) option;
       (** cooperative checkpoint, called with the deterministic node
           and cumulative-pivot counters before the root solve and
@@ -64,10 +60,6 @@ type options = {
           the fault-injection hook of the placement service's
           {!Wishbone.Service.Fault_plan}.  [None] (the default) adds
           no work at all. *)
-  workers : int;
-      (** concurrent node expansions (default [1] = sequential; values
-          below [1] count as [1]); the optimum returned is
-          deterministic for any fixed value *)
   simplex : Simplex.options;
 }
 

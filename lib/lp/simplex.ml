@@ -22,7 +22,7 @@ type result = {
 
 (* Process-wide pivot accounting: benchmarks read the deltas to
    aggregate across whole branch & bound trees and rate searches.
-   Atomic so parallel branch & bound workers account correctly. *)
+   Atomic, so solves on different domains still count correctly. *)
 let cumulative = Atomic.make 0
 let cumulative_pivots () = Atomic.get cumulative
 let reset_cumulative_pivots () = Atomic.set cumulative 0

@@ -248,11 +248,7 @@ val solve :
     {!feasible}, and expand to original operators.  [initial] (a
     per-original-operator tier assignment) seeds the incumbent and
     [root_basis] warm-starts the root relaxation — the PR 1 machinery,
-    unchanged.
-
-    [options] also sets the parallelism
-    ({!Lp.Branch_bound.options.workers}): any [workers] count returns
-    the same partition (deterministic waves, see DESIGN.md §14). *)
+    unchanged. *)
 
 val tier_ops : report -> int -> int list
 (** [tier_ops r tier]: the original operator ids placed on [tier],

@@ -33,10 +33,7 @@ val default_search_options : Lp.Branch_bound.options
     paper itself suggests ("use an approximate lower bound to establish
     a termination condition").  The budget counts nodes, not seconds,
     so the rate found is the same on every machine; set [time_limit]
-    to add a wall-clock cap.  The worker count is inherited from
-    {!Lp.Branch_bound.default_options} (sequential); override
-    [workers] here to parallelise each solve — the rates found are
-    identical either way. *)
+    to add a wall-clock cap. *)
 
 val search_placement :
   ?encoding:Placement.encoding ->

@@ -37,9 +37,9 @@ type response = {
 
 exception Injected_fault of string
 
-(* Raised by a [Kill_worker] fault to take its whole [Domain] down —
-   the one exception the per-query supervisor deliberately does not
-   contain.  Never escapes [run_batch]. *)
+(* Raised by a [Kill_worker] fault to abandon the rest of the solve
+   loop — the one exception the per-query supervisor deliberately does
+   not contain.  Never escapes [run_batch]. *)
 exception Worker_killed
 
 (* ---- fault injection ---------------------------------------------- *)
@@ -49,7 +49,7 @@ module Fault_plan = struct
     | Transient  (* first attempt raises; a retry succeeds *)
     | Permanent  (* every attempt raises *)
     | Crash_at of int  (* first attempt raises at the k-th B&B node *)
-    | Kill_worker  (* first attempt kills its Domain *)
+    | Kill_worker  (* first attempt abandons the batch's solve loop *)
 
   type t = Off | Seeded of { seed : int; rate : float }
 
@@ -60,8 +60,8 @@ module Fault_plan = struct
      lifetime, derived from the root seed with the documented path
      [11; seq] ([11] is the service-fault namespace; [Netsim.Testbed]
      owns [1; k], [Check.Fuzz] owns [oracle; case]).  Pure function of
-     [(plan, seq)]: replays identically across runs, shard counts and
-     retry attempts. *)
+     [(plan, seq)]: replays identically across runs and retry
+     attempts. *)
   let decide t ~seq =
     match t with
     | Off -> None
@@ -404,18 +404,19 @@ let insert t ~key ~inst answer digest =
   done
 
 (* Per-query batch plan, fixed sequentially against the cache state at
-   batch entry; the solves it schedules are data-independent, which is
-   what makes query-level sharding answer-preserving. *)
+   batch entry; the solves it schedules are data-independent, so their
+   order cannot change an answer. *)
 type plan =
   | P_replay of entry
   | P_alias of int  (* exact duplicate of an earlier in-batch query *)
   | P_solve of { seed_tiers : int array option; seed_basis : Lp.Basis.t option }
 
 let run_batch ?(shards = 1) t queries =
+  (* accepted and ignored: every miss is solved on the calling domain *)
   if shards < 1 then invalid_arg "Service.run_batch: shards must be >= 1";
   let n = Array.length queries in
   (* global query sequence numbers key the fault plan: decisions
-     depend on the query history, never on sharding *)
+     depend on the query history alone *)
   let base = t.c_queries in
   t.c_queries <- t.c_queries + n;
   let insts = Array.map (fun q -> instance_key q.placement) queries in
@@ -448,7 +449,7 @@ let run_batch ?(shards = 1) t queries =
                 in
                 P_solve { seed_tiers; seed_basis }))
   in
-  (* ---- solve (sharded, supervised) ---- *)
+  (* ---- solve (supervised) ---- *)
   let results : answer option array = Array.make n None in
   let latency = Array.make n 0. in
   let killed = Array.make n false in
@@ -527,26 +528,11 @@ let run_batch ?(shards = 1) t queries =
     latency.(i) <- latency.(i) +. ((Unix.gettimeofday () -. t0) *. 1000.);
     results.(i) <- Some ans
   in
-  let run_stripe shards k =
-    (* round-robin striping; each index is written by exactly one
-       domain and [Domain.join] publishes the writes (a dying domain's
-       writes included) *)
-    List.iteri
-      (fun pos i -> if pos mod shards = k then supervised i)
-      work
-  in
-  let shards = Int.max 1 (Int.min shards (List.length work)) in
-  (if shards = 1 then (try run_stripe 1 0 with Worker_killed -> ())
-   else begin
-     let doms =
-       List.init shards (fun k -> Domain.spawn (fun () -> run_stripe shards k))
-     in
-     List.iter (fun d -> try Domain.join d with Worker_killed -> ()) doms
-   end);
-  (* absorb worker deaths: anything a dead domain stranded re-runs
-     inline, victims resuming at attempt 1.  Each pass either finishes
-     every pending query or trips at least one fresh kill, and a query
-     kills at most once, so this terminates. *)
+  (* solve in query order.  A worker death abandons the loop; each
+     pass re-runs whatever is still pending, victims resuming at
+     attempt 1.  Every pass either finishes every pending query or
+     trips at least one fresh kill, and a query kills at most once,
+     so this terminates. *)
   let rec sweep () =
     let pending = List.filter (fun i -> results.(i) = None) work in
     if pending <> [] then begin

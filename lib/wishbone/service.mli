@@ -9,17 +9,16 @@
     This module turns {!Placement.solve} / {!Rate_search} into a
     server loop:
 
-    - {e batches}: queries arrive as arrays and independent solves are
-      sharded across [Domain]s at the {e query} level (the per-solve
-      [workers] knob composes badly with one core per search);
+    - {e batches}: queries arrive as arrays; the misses are solved one
+      after another on the calling domain;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
       key hit replays the stored response without solving; a miss on a
       placement whose structure is already resident warm-starts from
       the stored tier assignment and {!Lp.Basis.t} root snapshot;
     - {e determinism}: responses (and every cache counter) are a pure
-      function of the query history — independent of the shard count,
-      and byte-identical to the direct no-service solve path
+      function of the query history, and byte-identical to the direct
+      no-service solve path
       ({!solve_direct}), which the [service-equivalence] fuzz oracle
       and the [@service] test suite enforce;
     - {e containment}: every solve runs inside a per-query supervisor.
@@ -29,10 +28,10 @@
       {!Failed} answer carrying the exception rendering — it never
       takes the batch down, and [ok + degraded + failed = queries]
       holds after every batch.  A simulated worker death
-      ({!Fault_plan}) kills its [Domain]; the batch re-runs the
-      stranded queries inline, so even that path changes no response
-      byte.  All containment counters are pure functions of the query
-      history and fault plan — identical on 1, 2 or 8 shards;
+      ({!Fault_plan}) abandons the batch's solve loop; the batch
+      re-runs the stranded queries, so even that path changes no
+      response byte.  All containment counters are pure functions of
+      the query history and fault plan;
     - {e degradation}: under a finite {!Lp.Branch_bound} budget
       ([max_nodes] / [pivot_budget]) an unproved-but-feasible solve
       returns {!Degraded} — the best incumbent, verified feasible,
@@ -42,10 +41,9 @@
     The determinism argument: each batch is {e planned} sequentially
     against the cache state at batch entry (hit / alias / solve, warm
     hints chosen from already-resident entries), the planned solves
-    are data-independent and run on any number of shards, and cache
-    insertion/eviction replays sequentially in query-index order after
-    the shards join.  Shard count therefore changes wall-clock only.
-    Warm hints never change answers (the repo-wide warm-start
+    are data-independent and run in query order on the calling domain,
+    and cache insertion/eviction replays sequentially in query-index
+    order once every solve has finished.  Warm hints never change answers (the repo-wide warm-start
     contract, PR 1/5/6); the service additionally runs full proofs
     ([gap_tol = 0], no wall-clock limit) by default so that a
     budget-truncated solve cannot leak timing into an answer.  Under a
@@ -110,11 +108,10 @@ type counters = {
   failed : int;  (** [Failed] responses *)
   retries : int;
       (** extra solve attempts beyond each query's first — a pure
-          function of the query history and fault plan, independent
-          of shard count *)
+          function of the query history and fault plan *)
   worker_deaths : int;
       (** simulated worker kills absorbed ({!Fault_plan}); each
-          planned kill counts exactly once, on any shard count *)
+          planned kill counts exactly once *)
 }
 
 type response = {
@@ -148,14 +145,14 @@ exception Injected_fault of string
     - {e mid-solve crash}: the first attempt raises from inside branch
       & bound at its k-th node expansion (via
       {!Lp.Branch_bound.options.on_node}); a retry runs clean;
-    - {e worker death}: the first attempt kills its worker [Domain];
-      the batch absorbs the death, re-runs the stranded queries
-      inline, and resumes the victim at attempt 1.
+    - {e worker death}: the first attempt abandons the batch's solve
+      loop; the batch absorbs the death, re-runs the stranded queries,
+      and resumes the victim at attempt 1.
 
     Decisions derive as [Prng.derive seed [11; seq]] ([11] is the
     service-fault namespace; the network testbed uses [[1; k]], the
     fuzzer [[oracle; case]]), so a plan replays bit-identically across
-    runs and shard counts, and {!none} leaves every code path
+    runs, and {!none} leaves every code path
     bit-identical to a build without fault injection. *)
 module Fault_plan : sig
   type t
@@ -223,11 +220,12 @@ val answer_digest : answer -> string
     solver statistics, cache state and wall-clock. *)
 
 val run_batch : ?shards:int -> t -> query array -> response array
-(** Serve one batch: plan against the cache, solve the misses on
-    [shards] concurrent [Domain]s (default 1), commit results to the
-    cache in query order.  [responses.(i)] answers [queries.(i)];
-    answers, digests and counters are identical for every shard
-    count.  Exact-duplicate queries within one batch are solved once
+(** Serve one batch: plan against the cache, solve the misses in
+    query order on the calling domain, commit results to the cache in
+    query order.  [responses.(i)] answers [queries.(i)].
+    [shards] is accepted and ignored (values below [1] still raise
+    [Invalid_argument]); it remains only because the repository
+    benchmark's [serve] workload still passes it.  Exact-duplicate queries within one batch are solved once
     and the copies served as {!Hit}s.  No exception escapes: solver
     faults (real or injected) surface as {!Failed} answers and
     simulated worker deaths are absorbed and re-run. *)

@@ -5,10 +5,11 @@
      armed (retries, Fault_plan.none) serves the pinned 32-query batch
      byte-identically to the plain direct path, with ok = queries;
    - fault-plan replay determinism: a seeded plan over the same batch
-     yields identical digests and identical containment counters for
-     shards 1/2/4, and re-runs bit-identically for the same seed; every
-     non-failed answer equals the faults-off answer byte for byte, and
-     counters conserve (ok + degraded + failed = queries);
+     re-runs bit-identically (digests and containment counters) for the
+     same seed; every non-failed answer equals the faults-off answer
+     byte for byte, and counters conserve (ok + degraded + failed =
+     queries).  A worker death abandons the solve loop mid-batch, and
+     the stranded queries re-run to the faults-off answers;
    - retry accounting: at fault rate 1.0 every solve misbehaves; more
      retries can only convert failures into successes, never change a
      successful answer;
@@ -17,7 +18,7 @@
      fault-free), and corrupt / truncated / stale / missing snapshots
      restore to a cold cache, never to wrong answers;
    - degradation: work-unit budgets surface gap-certified Degraded
-     answers that are feasible and deterministic across shard counts. *)
+     answers that are feasible and deterministic run to run. *)
 
 open Wishbone
 
@@ -96,8 +97,8 @@ let test_faults_off_identity () =
     Service.create ~capacity:64 ~retries:3 ~fault_plan:Service.Fault_plan.none
       ()
   in
-  let d_plain = digests (Service.run_batch ~shards:2 plain queries) in
-  let d_armed = digests (Service.run_batch ~shards:2 armed queries) in
+  let d_plain = digests (Service.run_batch plain queries) in
+  let d_armed = digests (Service.run_batch armed queries) in
   Alcotest.(check (array string)) "digests bit-identical" d_plain d_armed;
   let c = Service.counters armed in
   check_conservation "faults off" c;
@@ -107,31 +108,25 @@ let test_faults_off_identity () =
 
 (* ---- seeded fault plans: deterministic containment ---------------- *)
 
-let faulted_run ?(seed = 1) ?(rate = 0.35) ?(retries = 1) ~shards queries =
+let faulted_run ?(seed = 1) ?(rate = 0.35) ?(retries = 1) queries =
   let svc =
     Service.create ~capacity:64 ~retries
       ~fault_plan:(Service.Fault_plan.seeded ~rate seed)
       ()
   in
-  let responses = Service.run_batch ~shards svc queries in
+  let responses = Service.run_batch svc queries in
   (responses, Service.counters svc)
 
-let test_fault_replay_shards () =
+let test_fault_replay () =
   let queries = Lazy.force mixed_batch in
-  let r1, c1 = faulted_run ~shards:1 queries in
-  let r2, c2 = faulted_run ~shards:2 queries in
-  let r4, c4 = faulted_run ~shards:4 queries in
-  Alcotest.(check (array string)) "shards=2 digests" (digests r1) (digests r2);
-  Alcotest.(check (array string)) "shards=4 digests" (digests r1) (digests r4);
-  Alcotest.(check string) "shards=2 counters" (pp_counters c1) (pp_counters c2);
-  Alcotest.(check string) "shards=4 counters" (pp_counters c1) (pp_counters c4);
+  let r1, c1 = faulted_run queries in
   check_conservation "faulted batch" c1;
   (* the plan at this rate must actually exercise the machinery *)
   Alcotest.(check bool) "some queries failed" true (c1.Service.failed > 0);
   Alcotest.(check bool) "some retries happened" true (c1.Service.retries > 0);
   Alcotest.(check bool) "a worker died" true (c1.Service.worker_deaths > 0);
   (* same seed replays bit-identically *)
-  let r1', c1' = faulted_run ~shards:2 queries in
+  let r1', c1' = faulted_run queries in
   Alcotest.(check (array string)) "same seed, same digests" (digests r1)
     (digests r1');
   Alcotest.(check string) "same seed, same counters" (pp_counters c1)
@@ -139,7 +134,7 @@ let test_fault_replay_shards () =
   (* containment never corrupts: every answer either equals the
      faults-off answer byte for byte, or is an injected failure *)
   let plain = Service.create ~capacity:64 () in
-  let d0 = digests (Service.run_batch ~shards:2 plain queries) in
+  let d0 = digests (Service.run_batch plain queries) in
   Array.iteri
     (fun i (r : Service.response) ->
       match r.Service.answer with
@@ -150,11 +145,52 @@ let test_fault_replay_shards () =
             d0.(i) r.Service.digest)
     r1
 
+(* Seed 59 at rate 0.25 plans exactly one fault over global query
+   numbers 0-5: a worker death at query 2.  The plan's shape is
+   asserted below, so a change to the plan derivation fails here
+   rather than silently testing nothing. *)
+let test_kill_worker () =
+  let queries = Array.init 6 (fun i -> rate (synth (400 + i)) 0.9) in
+  let n = Array.length queries in
+  let plan () = Service.Fault_plan.seeded ~rate:0.25 59 in
+  let d0 = digests (Service.run_batch (Service.create ()) queries) in
+  (* one query per batch locates the victim: the batch whose death
+     counter moves *)
+  let probe = Service.create ~fault_plan:(plan ()) () in
+  let victim =
+    List.find
+      (fun i ->
+        ignore (Service.run_batch probe [| queries.(i) |]);
+        (Service.counters probe).Service.worker_deaths > 0)
+      (List.init n Fun.id)
+  in
+  Alcotest.(check bool) "queries stranded behind the victim" true
+    (victim < n - 1);
+  (* the whole batch at once: the death abandons the loop at the
+     victim, and the re-run pass solves it and everything after it *)
+  let svc = Service.create ~fault_plan:(plan ()) () in
+  let responses = Service.run_batch svc queries in
+  let c = Service.counters svc in
+  Alcotest.(check (array string)) "digests equal the fault-free batch" d0
+    (digests responses);
+  Alcotest.(check int) "the death is counted" 1 c.Service.worker_deaths;
+  Alcotest.(check int) "no failures" 0 c.Service.failed;
+  Alcotest.(check int) "the victim resumed at attempt 1" 1 c.Service.retries;
+  Array.iteri
+    (fun i (r : Service.response) ->
+      if i >= victim then
+        Alcotest.(check bool)
+          (Printf.sprintf "query %d re-ran" i)
+          true
+          (r.Service.served = Service.Cold && r.Service.latency_ms > 0.))
+    responses;
+  check_conservation "worker death" c
+
 let test_retry_accounting () =
   let queries = Array.init 12 (fun i -> rate (synth (300 + i)) 0.9) in
   (* rate 1.0: every solved query misbehaves somehow *)
-  let r0, c0 = faulted_run ~rate:1.0 ~retries:0 ~shards:2 queries in
-  let r1, c1 = faulted_run ~rate:1.0 ~retries:1 ~shards:2 queries in
+  let r0, c0 = faulted_run ~rate:1.0 ~retries:0 queries in
+  let r1, c1 = faulted_run ~rate:1.0 ~retries:1 queries in
   check_conservation "retries=0" c0;
   check_conservation "retries=1" c1;
   Alcotest.(check bool) "failures at retries=0" true (c0.Service.failed > 0);
@@ -189,11 +225,11 @@ let run_split_with_checkpoint ~fault_plan ~retries queries path =
   let first, rest = split_batch queries in
   (* uninterrupted reference *)
   let whole = Service.create ~capacity:64 ~retries ~fault_plan () in
-  let _ = Service.run_batch ~shards:2 whole first in
-  let d_whole = digests (Service.run_batch ~shards:2 whole rest) in
+  let _ = Service.run_batch whole first in
+  let d_whole = digests (Service.run_batch whole rest) in
   (* kill after the first half, restore, serve the rest *)
   let victim = Service.create ~capacity:64 ~retries ~fault_plan () in
-  let _ = Service.run_batch ~shards:2 victim first in
+  let _ = Service.run_batch victim first in
   Service.checkpoint victim path;
   let revived, outcome = Service.restore ~retries ~fault_plan path in
   (match outcome with
@@ -205,7 +241,7 @@ let run_split_with_checkpoint ~fault_plan ~retries queries path =
   Alcotest.(check string) "counters survive the crash"
     (pp_counters (Service.counters victim))
     (pp_counters (Service.counters revived));
-  let d_revived = digests (Service.run_batch ~shards:2 revived rest) in
+  let d_revived = digests (Service.run_batch revived rest) in
   Alcotest.(check (array string))
     "post-restore replay = uninterrupted run" d_whole d_revived;
   Alcotest.(check string) "final counters identical"
@@ -311,16 +347,16 @@ let test_degraded_answers () =
   let queries =
     Array.init 10 (fun i -> rate (synth ~n_ops:12 (700 + i)) 1.0)
   in
-  let run shards =
+  let run () =
     let svc = Service.create ~capacity:32 ~options () in
-    let responses = Service.run_batch ~shards svc queries in
+    let responses = Service.run_batch svc queries in
     (responses, Service.counters svc)
   in
-  let r1, c1 = run 1 in
-  let r2, c2 = run 2 in
-  Alcotest.(check (array string)) "degraded digests shard-stable" (digests r1)
+  let r1, c1 = run () in
+  let r2, c2 = run () in
+  Alcotest.(check (array string)) "degraded digests stable" (digests r1)
     (digests r2);
-  Alcotest.(check string) "degraded counters shard-stable" (pp_counters c1)
+  Alcotest.(check string) "degraded counters stable" (pp_counters c1)
     (pp_counters c2);
   check_conservation "degraded workload" c1;
   let saw = ref 0 in
@@ -353,8 +389,9 @@ let () =
         ] );
       ( "fault-plan",
         [
-          Alcotest.test_case "replay determinism, shards 1/2/4" `Quick
-            test_fault_replay_shards;
+          Alcotest.test_case "replay determinism" `Quick test_fault_replay;
+          Alcotest.test_case "worker death re-runs stranded queries"
+            `Quick test_kill_worker;
           Alcotest.test_case "retry accounting" `Quick test_retry_accounting;
         ] );
       ( "checkpoint",

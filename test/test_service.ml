@@ -2,9 +2,8 @@
 
    Four groups:
    - a pinned 32-query mixed eeg14/eeg22/synthetic batch whose
-     response digests must be identical for shard counts 1/2/4 and
-     equal to the direct no-service solve path, with exact cache
-     counters;
+     response digests must equal the direct no-service solve path,
+     with exact cache counters;
    - qcheck: cache-hit replay is byte-identical to the cold solve,
      and an evicted entry re-solves to the first answer;
    - cache safety: the instance key covers every budget, so specs
@@ -44,7 +43,7 @@ let direct_digests svc queries =
 
 let synth seed = Placement.of_spec (Apps.Synthetic.random_spec ~seed ~n_ops:8 ())
 
-(* ---- pinned mixed batch: shard determinism ------------------------ *)
+(* ---- pinned mixed batch: the direct path, exact counters ---------- *)
 
 (* short profiles: the batch exercises the service, not the profiler *)
 let mixed_batch =
@@ -75,32 +74,18 @@ let mixed_batch =
            rate (s 3) 0.8 ]
        @ [ rate eeg14 0.4; rate eeg22 1.0; rate (s 4) 1.2 ]))
 
-let test_shard_determinism () =
+let test_batch_direct_path () =
   let queries = Lazy.force mixed_batch in
   Alcotest.(check int) "batch size" 32 (Array.length queries);
-  let run shards =
-    let svc = Service.create ~capacity:64 () in
-    let responses = Service.run_batch ~shards svc queries in
-    (digests responses, Service.counters svc, svc)
-  in
-  let d1, c1, svc1 = run 1 in
-  let d2, c2, _ = run 2 in
-  let d4, c4, _ = run 4 in
-  Alcotest.(check (array string)) "shards=2 digests" d1 d2;
-  Alcotest.(check (array string)) "shards=4 digests" d1 d4;
-  (* counters are a pure function of the query history *)
-  let pp c =
-    Printf.sprintf "q%d h%d m%d w%d i%d e%d r%d" c.Service.queries
-      c.Service.hits c.Service.misses c.Service.warm_starts c.Service.inserts
-      c.Service.evictions c.Service.resident
-  in
-  Alcotest.(check string) "shards=2 counters" (pp c1) (pp c2);
-  Alcotest.(check string) "shards=4 counters" (pp c1) (pp c4);
+  let svc = Service.create ~capacity:64 () in
+  let d = digests (Service.run_batch svc queries) in
+  let c = Service.counters svc in
   (* 10 duplicate queries in the batch, nothing evicted at capacity 64 *)
-  Alcotest.(check string) "exact counters" "q32 h10 m22 w0 i22 e0 r22" (pp c1);
-  (* and the whole thing equals the no-service direct path *)
-  Alcotest.(check (array string))
-    "direct path" (direct_digests svc1 queries) d1
+  Alcotest.(check string) "exact counters" "q32 h10 m22 w0 i22 e0 r22"
+    (Printf.sprintf "q%d h%d m%d w%d i%d e%d r%d" c.Service.queries
+       c.Service.hits c.Service.misses c.Service.warm_starts c.Service.inserts
+       c.Service.evictions c.Service.resident);
+  Alcotest.(check (array string)) "direct path" (direct_digests svc queries) d
 
 (* ---- qcheck: replay and eviction equivalences --------------------- *)
 
@@ -178,7 +163,7 @@ let test_lru_churn () =
           else rate pl (0.8 +. (0.2 *. Float.of_int (Prng.int rng 3))))
     in
     total := !total + n;
-    let responses = Service.run_batch ~shards:2 svc batch in
+    let responses = Service.run_batch svc batch in
     Alcotest.(check (array string))
       "batch equals direct path" (direct_digests svc batch)
       (digests responses);
@@ -200,8 +185,8 @@ let () =
     [
       ( "determinism",
         [
-          Alcotest.test_case "32-query batch, shards 1/2/4" `Quick
-            test_shard_determinism;
+          Alcotest.test_case "32-query batch equals the direct path" `Quick
+            test_batch_direct_path;
         ] );
       ( "replay",
         [
